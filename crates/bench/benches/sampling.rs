@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use spotlight::swsearch::sample_schedule_guided;
+use spotlight::swsearch::{sample_schedule_guided, ScheduleSampler};
 use spotlight_accel::Baseline;
 use spotlight_conv::ConvLayer;
 use spotlight_space::dataflows::dataflow_schedule;
@@ -28,8 +28,19 @@ fn bench_sampling(c: &mut Criterion) {
     group.bench_function("schedule_uniform", |b| {
         b.iter(|| black_box(sample::sample_schedule(&mut rng, &layer)))
     });
+    // One-shot draw: builds the (hw, layer) sampler, then draws once.
     group.bench_function("schedule_guided", |b| {
         b.iter(|| black_box(sample_schedule_guided(&mut rng, &layer, &hw)))
+    });
+    // What a software search pays: the sampler is built once per
+    // (hw, layer) pair (its three dataflow skeletons on first use), then
+    // every candidate is one prebuilt draw.
+    group.bench_function("sampler_build", |b| {
+        b.iter(|| black_box(ScheduleSampler::new(black_box(&layer), black_box(&hw))))
+    });
+    let sampler = ScheduleSampler::new(&layer, &hw);
+    group.bench_function("schedule_guided_prebuilt", |b| {
+        b.iter(|| black_box(sampler.guided(&mut rng)))
     });
     group.bench_function("dataflow_greedy", |b| {
         b.iter(|| {

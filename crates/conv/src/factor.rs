@@ -20,21 +20,23 @@
 /// ```
 pub fn divisors(n: u64) -> Vec<u64> {
     assert!(n > 0, "divisors of zero are undefined");
-    let mut small = Vec::new();
-    let mut large = Vec::new();
+    let mut divs = Vec::new();
     let mut d = 1;
     while d * d <= n {
         if n.is_multiple_of(d) {
-            small.push(d);
-            if d != n / d {
-                large.push(n / d);
-            }
+            divs.push(d);
         }
         d += 1;
     }
-    large.reverse();
-    small.extend(large);
-    small
+    // The divisors up to sqrt(n) ascend, so their mirrors `n / d` taken
+    // in reverse ascend too.
+    for k in (0..divs.len()).rev() {
+        let mirror = n / divs[k];
+        if mirror != divs[k] {
+            divs.push(mirror);
+        }
+    }
+    divs
 }
 
 /// Number of divisors of `n`.

@@ -68,15 +68,19 @@ impl LoopPermutation {
     /// ```
     pub fn from_lehmer(i: u64) -> Self {
         assert!(i < Self::COUNT, "permutation rank out of range");
-        let mut avail: Vec<Dim> = DIMS.to_vec();
+        // `avail[..left]` holds the dimensions not yet placed, in
+        // canonical order; taking one shifts the tail left in place.
+        let mut avail = DIMS;
         let mut rem = i;
         let mut order = [Dim::N; NUM_DIMS];
         let mut fact: u64 = Self::COUNT;
         for (slot, item) in order.iter_mut().enumerate() {
-            fact /= (NUM_DIMS - slot) as u64;
+            let left = NUM_DIMS - slot;
+            fact /= left as u64;
             let idx = (rem / fact) as usize;
             rem %= fact;
-            *item = avail.remove(idx);
+            *item = avail[idx];
+            avail.copy_within(idx + 1..left, idx);
         }
         LoopPermutation { order }
     }
@@ -84,17 +88,18 @@ impl LoopPermutation {
     /// Lexicographic rank of this permutation; inverse of
     /// [`LoopPermutation::from_lehmer`].
     pub fn rank(&self) -> u64 {
-        let mut avail: Vec<Dim> = DIMS.to_vec();
+        let mut avail = DIMS;
         let mut rank: u64 = 0;
         let mut fact: u64 = Self::COUNT;
         for (slot, d) in self.order.iter().enumerate() {
-            fact /= (NUM_DIMS - slot) as u64;
-            let idx = avail
+            let left = NUM_DIMS - slot;
+            fact /= left as u64;
+            let idx = avail[..left]
                 .iter()
                 .position(|a| a == d)
                 .expect("valid permutation");
             rank += idx as u64 * fact;
-            avail.remove(idx);
+            avail.copy_within(idx + 1..left, idx);
         }
         rank
     }
@@ -245,6 +250,26 @@ mod tests {
         let p = LoopPermutation::canonical();
         assert_eq!(p.to_string(), "NKCRSXY");
         assert_eq!(p.rank(), 0);
+    }
+
+    #[test]
+    fn lehmer_roundtrips_every_rank() {
+        for r in 0..LoopPermutation::COUNT {
+            assert_eq!(LoopPermutation::from_lehmer(r).rank(), r);
+        }
+    }
+
+    #[test]
+    fn lehmer_ranks_decode_to_lexicographic_orders() {
+        for (r, order) in [
+            (0, "NKCRSXY"),
+            (1, "NKCRSYX"),
+            (720, "KNCRSXY"),
+            (5038, "YXSRCNK"),
+            (5039, "YXSRCKN"),
+        ] {
+            assert_eq!(LoopPermutation::from_lehmer(r).to_string(), order);
+        }
     }
 
     #[test]

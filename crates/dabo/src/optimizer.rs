@@ -1,5 +1,6 @@
 //! The daBO optimizer.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use rand::RngCore;
@@ -81,6 +82,29 @@ const PRIOR_VARIANCE: f64 = 10.0;
 /// noise dwarfs the baseline.
 const NOISE_VARIANCE: f64 = 1e-2;
 
+/// Sets `dup[i]` for every row of `rows` that equals (by `==`) an
+/// earlier row, in one pass over a hash set instead of a pairwise scan.
+/// Rows are keyed by their bit patterns with `-0.0` canonicalized to
+/// `0.0` (written to the reusable `keys`), so the set flags exactly the
+/// rows `==` would; a row containing NaN equals nothing and is never
+/// looked up.
+fn mark_duplicates(rows: &Matrix, keys: &mut Vec<u64>, dup: &mut Vec<bool>) {
+    let d = rows.cols();
+    keys.clear();
+    for i in 0..rows.rows() {
+        keys.extend(
+            rows.row(i)
+                .iter()
+                .map(|&x| if x == 0.0 { 0 } else { x.to_bits() }),
+        );
+    }
+    let mut seen: HashSet<&[u64]> = HashSet::with_capacity(rows.rows());
+    dup.clear();
+    dup.extend((0..rows.rows()).map(|i| {
+        !rows.row(i).iter().any(|x| x.is_nan()) && !seen.insert(&keys[i * d..(i + 1) * d])
+    }));
+}
+
 enum FittedSurrogate {
     Linear(BayesianLinearModel),
     Gp(GaussianProcess),
@@ -142,6 +166,8 @@ pub struct Dabo<P, M> {
     cand_raw: Matrix,
     cand_z: Matrix,
     cand_points: Vec<P>,
+    cand_bits: Vec<u64>,
+    cand_dup: Vec<bool>,
     preds: Vec<(f64, f64)>,
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -173,6 +199,8 @@ impl<P, M: FeatureMap<P>> Dabo<P, M> {
             cand_raw: Matrix::default(),
             cand_z: Matrix::default(),
             cand_points: Vec::new(),
+            cand_bits: Vec::new(),
+            cand_dup: Vec::new(),
             preds: Vec::new(),
             means: Vec::new(),
             stds: Vec::new(),
@@ -338,10 +366,10 @@ impl<P, M: FeatureMap<P>> Search<P> for Dabo<P, M> {
         // within the batch before ranking: the duplicate's prediction is
         // poisoned to NaN, which the argmin/argmax helpers filter out —
         // small sampler spaces no longer burn acquisition slots on copies.
+        mark_duplicates(&self.cand_raw, &mut self.cand_bits, &mut self.cand_dup);
         self.preds.clear();
         for i in 0..batch {
-            let dup = (0..i).any(|j| self.cand_raw.row(j) == self.cand_raw.row(i));
-            if dup {
+            if self.cand_dup[i] {
                 self.preds.push((f64::NAN, f64::NAN));
             } else {
                 self.preds.push((self.means[i], self.stds[i]));
@@ -567,6 +595,41 @@ mod tests {
             opt.observe(x, x + 1.0);
         }
         assert_eq!(opt.best().unwrap().1, 1.0);
+
+        // The hash-set check flags exactly the rows the pairwise `==`
+        // scan flags: `-0.0` duplicates `0.0`, and NaN rows never match.
+        let rows = Matrix::from_rows(&[
+            vec![0.0, 1.0],
+            vec![-0.0, 1.0],
+            vec![1.0, -0.0],
+            vec![1.0, 0.0],
+            vec![f64::NAN, 2.0],
+            vec![f64::NAN, 2.0],
+            vec![0.0, 1.0],
+            vec![2.0, 1.0],
+        ]);
+        let pairwise: Vec<bool> = (0..rows.rows())
+            .map(|i| (0..i).any(|j| rows.row(j) == rows.row(i)))
+            .collect();
+        let (mut keys, mut dup) = (Vec::new(), Vec::new());
+        mark_duplicates(&rows, &mut keys, &mut dup);
+        assert_eq!(dup, pairwise);
+        assert_eq!(dup, [false, true, false, true, false, false, true, false]);
+        for _ in 0..200 {
+            let rows: Vec<Vec<f64>> = (0..64)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| [0.0, -0.0, 1.0, f64::NAN][rng.gen_range(0..4)])
+                        .collect()
+                })
+                .collect();
+            let rows = Matrix::from_rows(&rows);
+            let pairwise: Vec<bool> = (0..rows.rows())
+                .map(|i| (0..i).any(|j| rows.row(j) == rows.row(i)))
+                .collect();
+            mark_duplicates(&rows, &mut keys, &mut dup);
+            assert_eq!(dup, pairwise);
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! sizes shrunk so the unrolled iterations actually cover the PE array.
 
 use spotlight_accel::{DataflowStyle, HardwareConfig};
-use spotlight_conv::factor::divisors;
-use spotlight_conv::{ConvLayer, Dim, LoopPermutation, NUM_DIMS};
+use spotlight_conv::{ConvLayer, Dim, LoopPermutation, DIMS, NUM_DIMS};
 
+use crate::sample::TileTable;
 use crate::schedule::{Schedule, TileSizes};
 
 /// Per-style constants: growth priorities, unroll dimensions, and loop
@@ -24,8 +24,8 @@ struct StyleSpec {
     rf_priority: [Dim; NUM_DIMS],
     outer_unroll: Dim,
     inner_unroll: Dim,
-    outer_order: &'static str,
-    inner_order: &'static str,
+    outer_order: [Dim; NUM_DIMS],
+    inner_order: [Dim; NUM_DIMS],
 }
 
 fn spec(style: DataflowStyle) -> StyleSpec {
@@ -38,8 +38,8 @@ fn spec(style: DataflowStyle) -> StyleSpec {
             rf_priority: [S, R, Y, C, X, K, N],
             outer_unroll: X,
             inner_unroll: Y,
-            outer_order: "NKCXYRS",
-            inner_order: "NKCXYRS",
+            outer_order: [N, K, C, X, Y, R, S],
+            inner_order: [N, K, C, X, Y, R, S],
         },
         // NVDLA: weights stationary; K and C unrolled, activations stream.
         DataflowStyle::WeightStationary => StyleSpec {
@@ -47,8 +47,8 @@ fn spec(style: DataflowStyle) -> StyleSpec {
             rf_priority: [K, C, R, S, X, Y, N],
             outer_unroll: K,
             inner_unroll: C,
-            outer_order: "KCRSNXY",
-            inner_order: "KCRSNXY",
+            outer_order: [K, C, R, S, N, X, Y],
+            inner_order: [K, C, R, S, N, X, Y],
         },
         // ShiDianNao: outputs stationary; the output plane unrolled.
         DataflowStyle::OutputStationary => StyleSpec {
@@ -56,8 +56,8 @@ fn spec(style: DataflowStyle) -> StyleSpec {
             rf_priority: [X, Y, K, R, S, C, N],
             outer_unroll: X,
             inner_unroll: Y,
-            outer_order: "NKXYCRS",
-            inner_order: "NKXYCRS",
+            outer_order: [N, K, X, Y, C, R, S],
+            inner_order: [N, K, X, Y, C, R, S],
         },
         DataflowStyle::Flexible => {
             unreachable!("flexible style has no single schedule; use rigid_schedules")
@@ -89,45 +89,25 @@ fn spec(style: DataflowStyle) -> StyleSpec {
 /// assert!(s.tiles().footprint_bytes(TileLevel::Scratchpad, &layer) <= hw.l2_bytes());
 /// ```
 pub fn dataflow_schedule(style: DataflowStyle, layer: &ConvLayer, hw: &HardwareConfig) -> Schedule {
-    let spec = spec(style);
-    let extents = layer.extents();
+    dataflow_schedule_with(&TileTable::new(layer), style, hw)
+}
 
-    // Reserve parallel iterations for the outer unroll up front: cap the
-    // unrolled dimension's L2 tile so DRAM-level trips cover the PE rows,
-    // then grow the remaining dimensions greedily under the scratchpad
-    // capacity, charging one slice per active row for spatially
-    // distributed tensors (the same residency rule the cost model
-    // enforces).
-    let rows = hw.pe_rows() as u64;
-    let mut l2_caps = extents;
-    l2_caps[spec.outer_unroll.index()] = unroll_cap(extents[spec.outer_unroll.index()], rows);
-    let l2_fits = |t: &[u64; NUM_DIMS]| {
-        l2_residency(t, layer, spec.outer_unroll, &extents, rows) <= hw.l2_bytes()
-    };
-    let mut l2 = [1u64; NUM_DIMS];
-    grow_tiles(&mut l2, &l2_caps, &spec.l2_priority, &l2_fits);
-
-    // Same for the RF tile: cap the inner unroll so L2-level trips cover
-    // the PE columns, then grow under the per-PE RF capacity.
-    let mut rf_caps = l2;
-    rf_caps[spec.inner_unroll.index()] =
-        unroll_cap(l2[spec.inner_unroll.index()], hw.pe_width() as u64);
-    let rf_budget = hw.rf_bytes_per_pe();
-    let rf_fits = |t: &[u64; NUM_DIMS]| footprint(t, layer) <= rf_budget;
-    let mut rf = [1u64; NUM_DIMS];
-    grow_tiles(&mut rf, &rf_caps, &spec.rf_priority, &rf_fits);
-
-    let tiles = TileSizes::new(layer, l2, rf).expect("constructed chains are legal");
-    Schedule::new(
-        tiles,
-        spec.outer_order
-            .parse::<LoopPermutation>()
-            .expect("static order"),
-        spec.inner_order
-            .parse::<LoopPermutation>()
-            .expect("static order"),
-        spec.outer_unroll,
-        spec.inner_unroll,
+/// [`dataflow_schedule`] for the table's layer, reading every divisor
+/// list from a prebuilt [`TileTable`] instead of recomputing it.
+///
+/// # Panics
+///
+/// Panics if `style` is [`DataflowStyle::Flexible`].
+pub fn dataflow_schedule_with(
+    table: &TileTable,
+    style: DataflowStyle,
+    hw: &HardwareConfig,
+) -> Schedule {
+    build(
+        table,
+        style,
+        (hw.pe_rows() as u64, hw.pe_width() as u64),
+        (hw.l2_bytes(), hw.rf_bytes_per_pe()),
     )
 }
 
@@ -155,56 +135,80 @@ pub const TEMPLATE_ARRAY_DIM: u64 = 16;
 ///
 /// Panics if `style` is [`DataflowStyle::Flexible`].
 pub fn template_schedule(style: DataflowStyle, layer: &ConvLayer) -> Schedule {
-    let spec = spec(style);
-    let extents = layer.extents();
-
-    let mut l2_caps = extents;
-    l2_caps[spec.outer_unroll.index()] =
-        unroll_cap(extents[spec.outer_unroll.index()], TEMPLATE_ARRAY_DIM);
-    let l2_fits = |t: &[u64; NUM_DIMS]| {
-        l2_residency(t, layer, spec.outer_unroll, &extents, TEMPLATE_ARRAY_DIM) <= TEMPLATE_L2_BYTES
-    };
-    let mut l2 = [1u64; NUM_DIMS];
-    grow_tiles(&mut l2, &l2_caps, &spec.l2_priority, &l2_fits);
-
-    let mut rf_caps = l2;
-    rf_caps[spec.inner_unroll.index()] =
-        unroll_cap(l2[spec.inner_unroll.index()], TEMPLATE_ARRAY_DIM);
-    let rf_fits = |t: &[u64; NUM_DIMS]| footprint(t, layer) <= TEMPLATE_RF_BYTES;
-    let mut rf = [1u64; NUM_DIMS];
-    grow_tiles(&mut rf, &rf_caps, &spec.rf_priority, &rf_fits);
-
-    let tiles = TileSizes::new(layer, l2, rf).expect("constructed chains are legal");
-    Schedule::new(
-        tiles,
-        spec.outer_order
-            .parse::<LoopPermutation>()
-            .expect("static order"),
-        spec.inner_order
-            .parse::<LoopPermutation>()
-            .expect("static order"),
-        spec.outer_unroll,
-        spec.inner_unroll,
+    build(
+        &TileTable::new(layer),
+        style,
+        (TEMPLATE_ARRAY_DIM, TEMPLATE_ARRAY_DIM),
+        (TEMPLATE_L2_BYTES, TEMPLATE_RF_BYTES),
     )
 }
 
 /// All three rigid schedules for `layer` on `hw` — the menu a flexible
 /// (MAERI-like) accelerator or ConfuciuX chooses from by cost.
 pub fn rigid_schedules(layer: &ConvLayer, hw: &HardwareConfig) -> Vec<(DataflowStyle, Schedule)> {
+    let table = TileTable::new(layer);
     DataflowStyle::RIGID
         .iter()
-        .map(|&st| (st, dataflow_schedule(st, layer, hw)))
+        .map(|&st| (st, dataflow_schedule_with(&table, st, hw)))
         .collect()
 }
 
+/// Builds `style`'s schedule on an array of `(rows, cols)` PEs with
+/// `(l2, rf)` byte capacities (the RF one per PE).
+fn build(
+    table: &TileTable,
+    style: DataflowStyle,
+    (rows, cols): (u64, u64),
+    (l2_bytes, rf_bytes): (u64, u64),
+) -> Schedule {
+    let spec = spec(style);
+    let layer = table.layer();
+    let extents = layer.extents();
+
+    // Reserve parallel iterations for the outer unroll up front: cap the
+    // unrolled dimension's L2 tile so DRAM-level trips cover the PE rows,
+    // then grow the remaining dimensions greedily under the scratchpad
+    // capacity, charging one slice per active row for spatially
+    // distributed tensors (the same residency rule the cost model
+    // enforces).
+    let outer = spec.outer_unroll;
+    let mut l2_caps = extents;
+    l2_caps[outer.index()] = unroll_cap(table.divisors(outer, extents[outer.index()]), rows);
+    let l2_fits = |t: &[u64; NUM_DIMS]| l2_residency(t, layer, outer, &extents, rows) <= l2_bytes;
+    let mut l2 = [1u64; NUM_DIMS];
+    grow_tiles(table, &mut l2, &l2_caps, &spec.l2_priority, &l2_fits);
+
+    // Same for the RF tile: cap the inner unroll so L2-level trips cover
+    // the PE columns, then grow under the per-PE RF capacity.
+    let inner = spec.inner_unroll;
+    let mut rf_caps = l2;
+    rf_caps[inner.index()] = unroll_cap(table.divisors(inner, l2[inner.index()]), cols);
+    let rf_fits = |t: &[u64; NUM_DIMS]| footprint(t, layer) <= rf_bytes;
+    let mut rf = [1u64; NUM_DIMS];
+    grow_tiles(table, &mut rf, &rf_caps, &spec.rf_priority, &rf_fits);
+
+    let tiles = TileSizes::new(layer, l2, rf).expect("constructed chains are legal");
+    Schedule::new(
+        tiles,
+        LoopPermutation::new(spec.outer_order).expect("static order"),
+        LoopPermutation::new(spec.inner_order).expect("static order"),
+        outer,
+        inner,
+    )
+}
+
 /// Grows `tiles` toward `caps` along `priority` (round-robin over next
-/// divisors) while `fits` accepts the candidate.
+/// divisors) while `fits` accepts the candidate. Every cap divides its
+/// dimension's extent, so its divisor list comes from `table`.
 fn grow_tiles(
+    table: &TileTable,
     tiles: &mut [u64; NUM_DIMS],
     caps: &[u64; NUM_DIMS],
     priority: &[Dim; NUM_DIMS],
     fits: &dyn Fn(&[u64; NUM_DIMS]) -> bool,
 ) {
+    let cap_divisors: [&[u64]; NUM_DIMS] =
+        std::array::from_fn(|i| table.divisors(DIMS[i], caps[i]));
     loop {
         let mut progressed = false;
         for &d in priority {
@@ -212,7 +216,7 @@ fn grow_tiles(
             if tiles[i] == caps[i] {
                 continue;
             }
-            let next = next_divisor(caps[i], tiles[i]);
+            let next = next_divisor(cap_divisors[i], tiles[i]);
             let mut candidate = *tiles;
             candidate[i] = next;
             if fits(&candidate) {
@@ -250,28 +254,29 @@ fn l2_residency(
         + mult(outer_unroll.indexes_outputs(), outputs)
 }
 
-/// Largest tile for an unrolled dimension of extent `cap` such that the
-/// trip count covers `lanes` parallel units: the biggest divisor of `cap`
-/// at most `cap / lanes` (1 when the dimension is smaller than the
-/// array, i.e. fully unrolled).
-fn unroll_cap(cap: u64, lanes: u64) -> u64 {
+/// Largest tile for an unrolled dimension whose divisors are `divs`
+/// (ascending, ending at its extent `cap`) such that the trip count
+/// covers `lanes` parallel units: the biggest divisor of `cap` at most
+/// `cap / lanes` (1 when the dimension is smaller than the array, i.e.
+/// fully unrolled).
+fn unroll_cap(divs: &[u64], lanes: u64) -> u64 {
+    let cap = *divs.last().expect("a positive extent has divisors");
     if cap < lanes {
         return 1;
     }
     let target = (cap / lanes).max(1);
-    divisors(cap)
-        .into_iter()
-        .filter(|&t| t <= target)
-        .max()
+    divs.iter()
+        .rev()
+        .copied()
+        .find(|&t| t <= target)
         .unwrap_or(1)
 }
 
-/// Smallest divisor of `cap` strictly greater than `current`.
-fn next_divisor(cap: u64, current: u64) -> u64 {
-    divisors(cap)
-        .into_iter()
-        .find(|&d| d > current)
-        .unwrap_or(cap)
+/// Smallest divisor strictly greater than `current`, given a cap's
+/// ascending divisors `divs` (the cap itself once `current` reaches it).
+fn next_divisor(divs: &[u64], current: u64) -> u64 {
+    let cap = *divs.last().expect("a positive cap has divisors");
+    divs.iter().copied().find(|&d| d > current).unwrap_or(cap)
 }
 
 /// Footprint in bytes (8-bit elements) of a tile, mirroring
@@ -383,10 +388,145 @@ mod tests {
 
     #[test]
     fn next_divisor_walks_the_chain() {
-        assert_eq!(next_divisor(12, 1), 2);
-        assert_eq!(next_divisor(12, 2), 3);
-        assert_eq!(next_divisor(12, 6), 12);
-        assert_eq!(next_divisor(12, 12), 12);
+        let divs = spotlight_conv::factor::divisors(12);
+        assert_eq!(next_divisor(&divs, 1), 2);
+        assert_eq!(next_divisor(&divs, 2), 3);
+        assert_eq!(next_divisor(&divs, 6), 12);
+        assert_eq!(next_divisor(&divs, 12), 12);
+    }
+
+    /// The greedy growth as it was before divisor lists came from a
+    /// [`TileTable`]: every growth step recomputes `divisors(cap)`.
+    fn per_step_divisors_reference(
+        style: DataflowStyle,
+        layer: &ConvLayer,
+        (rows, cols): (u64, u64),
+        (l2_bytes, rf_bytes): (u64, u64),
+    ) -> Schedule {
+        use spotlight_conv::factor::divisors;
+        fn unroll_cap(cap: u64, lanes: u64) -> u64 {
+            if cap < lanes {
+                return 1;
+            }
+            let target = (cap / lanes).max(1);
+            divisors(cap)
+                .into_iter()
+                .filter(|&t| t <= target)
+                .max()
+                .unwrap_or(1)
+        }
+        fn grow(
+            tiles: &mut [u64; NUM_DIMS],
+            caps: &[u64; NUM_DIMS],
+            priority: &[Dim; NUM_DIMS],
+            fits: &dyn Fn(&[u64; NUM_DIMS]) -> bool,
+        ) {
+            loop {
+                let mut progressed = false;
+                for &d in priority {
+                    let i = d.index();
+                    if tiles[i] == caps[i] {
+                        continue;
+                    }
+                    let mut candidate = *tiles;
+                    candidate[i] = divisors(caps[i])
+                        .into_iter()
+                        .find(|&t| t > tiles[i])
+                        .unwrap_or(caps[i]);
+                    if fits(&candidate) {
+                        *tiles = candidate;
+                        progressed = true;
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+            }
+        }
+        let spec = spec(style);
+        let extents = layer.extents();
+        let (outer, inner) = (spec.outer_unroll, spec.inner_unroll);
+        let mut l2_caps = extents;
+        l2_caps[outer.index()] = unroll_cap(extents[outer.index()], rows);
+        let mut l2 = [1u64; NUM_DIMS];
+        grow(&mut l2, &l2_caps, &spec.l2_priority, &|t| {
+            let trips = extents[outer.index()] / t[outer.index()].max(1);
+            let rows_used = trips.min(rows).max(1);
+            let slice = |indexed: bool| if indexed { rows_used } else { 1 };
+            let (w, i, o) = TileSizes::new(layer, *t, [1; NUM_DIMS])
+                .unwrap()
+                .tensor_footprints(TileLevel::Scratchpad, layer);
+            slice(outer.indexes_weights()) * w
+                + slice(outer.indexes_inputs()) * i
+                + slice(outer.indexes_outputs()) * o
+                <= l2_bytes
+        });
+        let mut rf_caps = l2;
+        rf_caps[inner.index()] = unroll_cap(l2[inner.index()], cols);
+        let mut rf = [1u64; NUM_DIMS];
+        grow(&mut rf, &rf_caps, &spec.rf_priority, &|t| {
+            footprint(t, layer) <= rf_bytes
+        });
+        let order: LoopPermutation = match style {
+            DataflowStyle::RowStationary => "NKCXYRS",
+            DataflowStyle::WeightStationary => "KCRSNXY",
+            _ => "NKXYCRS",
+        }
+        .parse()
+        .unwrap();
+        Schedule::new(
+            TileSizes::new(layer, l2, rf).unwrap(),
+            order,
+            order,
+            outer,
+            inner,
+        )
+    }
+
+    #[test]
+    fn table_divisors_match_per_step_divisors() {
+        use crate::sample::sample_hw;
+        use crate::ParamRanges;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        let mut hws: Vec<HardwareConfig> = [
+            Baseline::EyerissLike,
+            Baseline::NvdlaLike,
+            Baseline::ShiDianNaoLike,
+        ]
+        .iter()
+        .map(|b| b.edge_config())
+        .collect();
+        for ranges in [ParamRanges::edge(), ParamRanges::cloud()] {
+            hws.extend((0..8).map(|_| sample_hw(&mut rng, &ranges)));
+        }
+        let mut layers = layers();
+        layers.push(ConvLayer::new(1, 1000, 2048, 1, 1, 1, 1));
+        for layer in &layers {
+            for style in DataflowStyle::RIGID {
+                assert_eq!(
+                    template_schedule(style, layer),
+                    per_step_divisors_reference(
+                        style,
+                        layer,
+                        (TEMPLATE_ARRAY_DIM, TEMPLATE_ARRAY_DIM),
+                        (TEMPLATE_L2_BYTES, TEMPLATE_RF_BYTES),
+                    )
+                );
+                for hw in &hws {
+                    assert_eq!(
+                        dataflow_schedule(style, layer, hw),
+                        per_step_divisors_reference(
+                            style,
+                            layer,
+                            (hw.pe_rows() as u64, hw.pe_width() as u64),
+                            (hw.l2_bytes(), hw.rf_bytes_per_pe()),
+                        ),
+                        "{style:?} on {layer} / {hw:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

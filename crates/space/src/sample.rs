@@ -46,17 +46,152 @@ pub fn sample_hw<R: Rng + ?Sized>(rng: &mut R, ranges: &ParamRanges) -> Hardware
         .expect("sampled width divides sampled PE count")
 }
 
-/// Draws a uniform legal tiling for `layer`: per dimension, a uniform
-/// divisor `l2 | extent` then a uniform divisor `rf | l2`.
-pub fn sample_tiles<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer) -> TileSizes {
-    let mut l2 = [1u64; NUM_DIMS];
-    let mut rf = [1u64; NUM_DIMS];
-    for (i, d) in DIMS.iter().enumerate() {
-        let e = layer.extent(*d);
-        l2[i] = *divisors(e).choose(rng).expect("extent > 0");
-        rf[i] = *divisors(l2[i]).choose(rng).expect("tile > 0");
+/// The legal divisor chains of one layer, precomputed for repeated
+/// sampling.
+///
+/// For each loop dimension the table holds the divisors of the layer
+/// extent (the legal L2 tiles), each paired with its own divisors (the
+/// legal RF tiles under it). Draws index these slices instead of
+/// recomputing them, so they make no heap allocation, and because
+/// [`SliceRandom::choose`] consumes the RNG only as a function of the
+/// slice length, a draw from the table consumes exactly the RNG stream
+/// that recomputing the divisor lists would.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use spotlight_conv::ConvLayer;
+/// use spotlight_space::sample::TileTable;
+///
+/// let layer = ConvLayer::new(1, 32, 16, 3, 3, 28, 28);
+/// let table = TileTable::new(&layer);
+/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
+/// for _ in 0..100 {
+///     assert!(table.sample_schedule(&mut rng).tiles().chain_is_legal());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct TileTable {
+    layer: ConvLayer,
+    /// Per dimension, the range of its extent's divisors in `chains`.
+    dims: [(u32, u32); NUM_DIMS],
+    /// Every divisor of every extent, ascending within a dimension.
+    chains: Vec<Chain>,
+    /// The divisors of each chain tile, ascending, back to back.
+    rf: Vec<u64>,
+}
+
+/// One legal L2 tile and the range of its own divisors in
+/// [`TileTable::rf`].
+#[derive(Debug, Clone)]
+struct Chain {
+    tile: u64,
+    rf: (u32, u32),
+}
+
+impl TileTable {
+    /// Builds the table of `layer`'s divisor chains.
+    pub fn new(layer: &ConvLayer) -> Self {
+        let extents = layer.extents();
+        // Room for the chains of typical layers, so building rarely
+        // reallocates.
+        let mut chains: Vec<Chain> = Vec::with_capacity(64);
+        let mut rf = Vec::with_capacity(256);
+        let mut dims = [(0, 0); NUM_DIMS];
+        for i in 0..NUM_DIMS {
+            // Dimensions of equal extent (X and Y, R and S) share chains.
+            if let Some(j) = (0..i).find(|&j| extents[j] == extents[i]) {
+                dims[i] = dims[j];
+                continue;
+            }
+            let divs = divisors(extents[i]);
+            let start = chains.len();
+            for (j, &tile) in divs.iter().enumerate() {
+                // Every divisor of `tile` divides the extent, so it is
+                // already in the ascending list up to `tile`.
+                let first = rf.len() as u32;
+                rf.extend(divs[..=j].iter().copied().filter(|&t| tile % t == 0));
+                chains.push(Chain {
+                    tile,
+                    rf: (first, rf.len() as u32),
+                });
+            }
+            dims[i] = (start as u32, chains.len() as u32);
+        }
+        TileTable {
+            layer: *layer,
+            dims,
+            chains,
+            rf,
+        }
     }
-    TileSizes::new(layer, l2, rf).expect("sampled chains are legal by construction")
+
+    /// The layer whose chains this table holds.
+    pub fn layer(&self) -> &ConvLayer {
+        &self.layer
+    }
+
+    fn chains(&self, d: Dim) -> &[Chain] {
+        let (start, end) = self.dims[d.index()];
+        &self.chains[start as usize..end as usize]
+    }
+
+    fn rf_of(&self, chain: &Chain) -> &[u64] {
+        &self.rf[chain.rf.0 as usize..chain.rf.1 as usize]
+    }
+
+    /// The divisors of `tile` in ascending order, where `tile` divides
+    /// the extent of `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` does not divide the extent of `d`.
+    pub(crate) fn divisors(&self, d: Dim, tile: u64) -> &[u64] {
+        let chains = self.chains(d);
+        let j = chains
+            .binary_search_by_key(&tile, |c| c.tile)
+            .expect("tile divides the extent");
+        self.rf_of(&chains[j])
+    }
+
+    /// Draws a uniform divisor chain `rf | l2 | extent` for `d`: a
+    /// uniform `l2`, then a uniform `rf` under it.
+    pub fn sample_chain<R: Rng + ?Sized>(&self, rng: &mut R, d: Dim) -> (u64, u64) {
+        let chain = self.chains(d).choose(rng).expect("extent > 0");
+        let rf = *self.rf_of(chain).choose(rng).expect("tile > 0");
+        (chain.tile, rf)
+    }
+
+    /// Draws a uniform legal tiling: per dimension, a uniform divisor
+    /// `l2 | extent` then a uniform divisor `rf | l2`.
+    pub fn sample_tiles<R: Rng + ?Sized>(&self, rng: &mut R) -> TileSizes {
+        let mut l2 = [1u64; NUM_DIMS];
+        let mut rf = [1u64; NUM_DIMS];
+        for (i, d) in DIMS.iter().enumerate() {
+            (l2[i], rf[i]) = self.sample_chain(rng, *d);
+        }
+        TileSizes::new(&self.layer, l2, rf).expect("sampled chains are legal by construction")
+    }
+
+    /// Draws a uniform software schedule: legal tiling, two loop orders,
+    /// two unroll dimensions (see [`sample_schedule`]).
+    pub fn sample_schedule<R: Rng + ?Sized>(&self, rng: &mut R) -> Schedule {
+        Schedule::new(
+            self.sample_tiles(rng),
+            sample_order(rng),
+            sample_order(rng),
+            sample_dim(rng),
+            sample_dim(rng),
+        )
+    }
+}
+
+/// Draws a uniform legal tiling for `layer`: per dimension, a uniform
+/// divisor `l2 | extent` then a uniform divisor `rf | l2`. Repeated
+/// draws for one layer should build a [`TileTable`] once instead.
+pub fn sample_tiles<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer) -> TileSizes {
+    TileTable::new(layer).sample_tiles(rng)
 }
 
 /// Draws a uniform loop permutation.
@@ -90,13 +225,7 @@ pub fn sample_dim<R: Rng + ?Sized>(rng: &mut R) -> Dim {
 /// assert!(s.tiles().chain_is_legal());
 /// ```
 pub fn sample_schedule<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer) -> Schedule {
-    Schedule::new(
-        sample_tiles(rng, layer),
-        sample_order(rng),
-        sample_order(rng),
-        sample_dim(rng),
-        sample_dim(rng),
-    )
+    TileTable::new(layer).sample_schedule(rng)
 }
 
 /// Draws a schedule whose tiles fit the given buffer capacities, by
@@ -113,8 +242,9 @@ pub fn sample_feasible_schedule<R: Rng + ?Sized>(
     max_tries: usize,
 ) -> Schedule {
     use crate::schedule::TileLevel;
+    let table = TileTable::new(layer);
     for _ in 0..max_tries {
-        let s = sample_schedule(rng, layer);
+        let s = table.sample_schedule(rng);
         let rf_fp = s.tiles().footprint_bytes(TileLevel::RegisterFile, layer);
         let l2_fp = s.tiles().footprint_bytes(TileLevel::Scratchpad, layer);
         if rf_fp <= rf_bytes_per_pe && l2_fp <= l2_bytes {
