@@ -1,10 +1,12 @@
 //! Pins the refactored CLI to pre-refactor golden artifacts.
 //!
 //! `tests/golden/` (repo root) holds a report and journal produced by
-//! the binary *before* run orchestration moved into the runtime crate.
-//! The same invocation must still produce a byte-identical report, and
-//! a journal identical up to the only two non-deterministic byte
-//! ranges: `wall_ms` timing fields and the manifest's `git` stamp.
+//! the binary *before* run orchestration moved into the runtime crate,
+//! and a sim-backend report and journal produced before the simulator's
+//! walk was rewritten. The same invocations must still produce
+//! byte-identical reports, and journals identical up to the only two
+//! non-deterministic byte ranges: `wall_ms` timing fields and the
+//! manifest's `git` stamp.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,16 +43,49 @@ fn normalize(journal: &str) -> String {
     scrubbed
 }
 
-#[test]
-fn refactored_cli_reproduces_the_pre_refactor_golden_run() {
-    let dir = std::env::temp_dir().join(format!("spotlight-golden-{}", std::process::id()));
+/// Runs `spotlight-cli codesign <args> --out .. --journal ..` and checks
+/// the report byte for byte, and the journal up to [`normalize`],
+/// against `tests/golden/<report>` and `tests/golden/<journal>`.
+fn assert_codesign_matches_golden(args: &[&str], report: &str, journal: &str) {
+    let dir =
+        std::env::temp_dir().join(format!("spotlight-golden-{}-{report}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp workdir creates");
-    let report = dir.join("report.txt");
-    let journal = dir.join("run.jsonl");
+    let report_path = dir.join(report);
+    let journal_path = dir.join(journal);
 
     let status = Command::new(BIN)
-        .args([
-            "codesign",
+        .arg("codesign")
+        .args(args)
+        .args(["--out", report_path.to_str().unwrap()])
+        .args(["--journal", journal_path.to_str().unwrap()])
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+
+    let golden_report =
+        std::fs::read_to_string(golden_dir().join(report)).expect("golden report exists");
+    let got_report = std::fs::read_to_string(&report_path).expect("report written");
+    assert_eq!(
+        got_report, golden_report,
+        "final report must be byte-identical to the golden {report}"
+    );
+
+    let golden_journal =
+        std::fs::read_to_string(golden_dir().join(journal)).expect("golden journal exists");
+    let got_journal = std::fs::read_to_string(&journal_path).expect("journal written");
+    assert_eq!(
+        normalize(&got_journal),
+        normalize(&golden_journal),
+        "journal must match the golden {journal} up to wall_ms and the git stamp"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn refactored_cli_reproduces_the_pre_refactor_golden_run() {
+    assert_codesign_matches_golden(
+        &[
             "--model",
             "transformer",
             "--hw",
@@ -59,33 +94,36 @@ fn refactored_cli_reproduces_the_pre_refactor_golden_run() {
             "6",
             "--seed",
             "3",
-            "--out",
-            report.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ])
-        .status()
-        .expect("binary runs");
-    assert!(status.success());
-
-    let golden_report =
-        std::fs::read_to_string(golden_dir().join("report.txt")).expect("golden report exists");
-    let got_report = std::fs::read_to_string(&report).expect("report written");
-    assert_eq!(
-        got_report, golden_report,
-        "final report must be byte-identical to the pre-refactor golden"
+        ],
+        "report.txt",
+        "run.jsonl",
     );
+}
 
-    let golden_journal =
-        std::fs::read_to_string(golden_dir().join("run.jsonl")).expect("golden journal exists");
-    let got_journal = std::fs::read_to_string(&journal).expect("journal written");
-    assert_eq!(
-        normalize(&got_journal),
-        normalize(&golden_journal),
-        "journal must match the golden up to wall_ms and the git stamp"
+/// The sim backend's report: `tests/golden/sim_report.txt` and
+/// `sim_run.jsonl` were produced by the binary before the simulator's
+/// loop-nest walk was rewritten to step carry by carry.
+#[test]
+fn sim_backend_reproduces_its_golden_run() {
+    assert_codesign_matches_golden(
+        &[
+            "--model",
+            "mnasnet",
+            "--backend",
+            "sim",
+            "--hw",
+            "3",
+            "--sw",
+            "6",
+            "--seed",
+            "5",
+        ],
+        "sim_report.txt",
+        "sim_run.jsonl",
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
+    let golden = std::fs::read_to_string(golden_dir().join("sim_report.txt"))
+        .expect("golden sim report exists");
+    assert!(golden.contains("21905625723049.51"), "pinned best cost");
 }
 
 #[test]

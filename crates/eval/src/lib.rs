@@ -100,7 +100,7 @@ use std::time::{Duration, Instant};
 
 use spotlight_accel::HardwareConfig;
 use spotlight_conv::ConvLayer;
-use spotlight_maestro::sim::{simulate, SimError};
+use spotlight_maestro::sim::{simulate_with, SimError};
 use spotlight_maestro::{CostModel, CostReport, MappingError};
 use spotlight_obs::{Event, Observer};
 use spotlight_space::Schedule;
@@ -259,6 +259,12 @@ impl CostBackend for MaestroBackend {
 /// iteration count exceeds `max_iterations` fall back to the purely
 /// analytical report instead of erroring, so searches never lose a
 /// feasible point to the simulation cap.
+///
+/// The analytical model runs once per evaluation, with `model`, and the
+/// simulator takes its NoC traffic from that report. Every constructor
+/// in the tree passes `CostModel::default()`, the model
+/// [`spotlight_maestro::sim::simulate`] evaluates, so the reports equal
+/// those of `simulate`.
 #[derive(Debug, Clone, Copy)]
 pub struct SimBackend {
     model: CostModel,
@@ -295,7 +301,7 @@ impl CostBackend for SimBackend {
             .model
             .evaluate(hw, sched, layer)
             .map_err(EvalError::Mapping)?;
-        match simulate(hw, sched, layer, self.max_iterations) {
+        match simulate_with(hw, sched, layer, &analytical, self.max_iterations) {
             Ok(sim) => Ok(CostReport {
                 delay_cycles: sim.delay_cycles,
                 dram_bytes: sim.dram_bytes,

@@ -7,6 +7,17 @@
 //! and plays the fetches and computations through a double-buffered
 //! two-stage pipeline (DRAM channel in front of the PE array + NoC).
 //!
+//! The walk does its bookkeeping per loop, not per iteration. Loops with
+//! a single trip never move and are dropped up front. The innermost
+//! remaining loop runs as a tight inner loop: while only its index moves,
+//! the set of tensors whose tiles change, and so the DRAM load of each
+//! step, is fixed. The other indices advance only on a carry, and the
+//! output-tile id follows them incrementally by per-dimension strides.
+//! Output tiles already produced are kept in a dense bitset indexed by
+//! that mixed-radix id; it has one bit per output tile, at most
+//! `max_iterations` bits. Every step still runs the pipeline recurrence
+//! with the same floating-point operations in the same order.
+//!
 //! The simulator serves two purposes:
 //!
 //! 1. **Validation** — the analytical DRAM traffic formula must agree
@@ -18,11 +29,13 @@
 //!    simulator in place of the analytical model exercises exactly that
 //!    path (see the `sim_validate` experiment binary).
 
+use spotlight_accel::HardwareConfig;
 use spotlight_conv::{ConvLayer, Dim, NUM_DIMS};
 use spotlight_space::{Schedule, TileLevel};
 
 use crate::error::MappingError;
 use crate::model::{CostModel, ModelParams};
+use crate::report::CostReport;
 
 /// Result of simulating one (hardware, schedule, layer) triple.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,6 +82,10 @@ impl std::error::Error for SimError {}
 /// Simulates `layer` on `hw` under `sched`, walking at most
 /// `max_iterations` outer-loop iterations.
 ///
+/// This evaluates the default analytical model for its validity rules
+/// and NoC traffic; a caller that already holds that report passes it
+/// to [`simulate_with`] instead.
+///
 /// # Errors
 ///
 /// [`SimError::Infeasible`] mirrors the analytical validity rules;
@@ -90,15 +107,36 @@ impl std::error::Error for SimError {}
 /// # Ok::<(), spotlight_maestro::sim::SimError>(())
 /// ```
 pub fn simulate(
-    hw: &spotlight_accel::HardwareConfig,
+    hw: &HardwareConfig,
     sched: &Schedule,
     layer: &ConvLayer,
     max_iterations: u64,
 ) -> Result<SimReport, SimError> {
-    // Reuse the analytical model's validity rules by evaluating once.
     let analytical = CostModel::default()
         .evaluate(hw, sched, layer)
         .map_err(SimError::Infeasible)?;
+    simulate_with(hw, sched, layer, &analytical, max_iterations)
+}
+
+/// Simulates `layer` on `hw` under `sched`, given `analytical`, the
+/// analytical model's report for the same triple.
+///
+/// A report exists only for a feasible mapping, so this never returns
+/// [`SimError::Infeasible`]. The simulator takes the per-tile NoC
+/// traffic from the report (`l2_bytes - dram_bytes`), so a report from
+/// a non-default [`CostModel`] changes the simulated delay.
+///
+/// # Errors
+///
+/// [`SimError::TooLarge`] when the outer nest has more than
+/// `max_iterations` iterations.
+pub fn simulate_with(
+    hw: &HardwareConfig,
+    sched: &Schedule,
+    layer: &ConvLayer,
+    analytical: &CostReport,
+    max_iterations: u64,
+) -> Result<SimReport, SimError> {
     let params = ModelParams::default();
     let tiles = sched.tiles();
 
@@ -156,103 +194,199 @@ pub fn simulate(
     let noc_cycles_per_tile = noc_per_tile / hw.noc_bandwidth() as f64;
     let array_time_per_tile = compute_per_tile.max(noc_cycles_per_tile);
 
-    // Walk the outer loop nest in the schedule's order, tracking which
-    // tensors' tiles change each step.
-    let order = sched.outer_order().order();
-    let mut counters = [0u64; NUM_DIMS];
-    let mut dram_free = 0.0f64;
-    let mut array_free = 0.0f64;
-    let mut dram_bytes = 0.0f64;
-    let mut stall = 0.0f64;
-    // Output tiles already produced at least once: re-entering one costs
-    // a partial-sum read (the tile was evicted in between).
-    let mut seen_outputs: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let output_id = |counters: &[u64; NUM_DIMS]| -> u64 {
-        let mut id = 0u64;
-        for i in 0..NUM_DIMS {
-            if Dim::from_index(i).indexes_outputs() {
-                id = id * (trips[i] + 1) + counters[i];
-            }
-        }
-        id
-    };
-    let mut live_output = output_id(&counters);
-    seen_outputs.insert(live_output);
-
-    for step in 0..total {
-        // Which tensors changed? On the first iteration, everything loads.
-        let (w_new, i_new, o_new) = if step == 0 {
-            (true, true, true)
-        } else {
-            // Advance the odometer (innermost loop first) and record which
-            // dims changed: the incremented one plus all that wrapped.
-            let mut changed = [false; NUM_DIMS];
-            for &d in order.iter().rev() {
-                let i = d.index();
-                if trips[i] == 1 {
-                    continue; // degenerate loop: its index never moves
-                }
-                counters[i] += 1;
-                if counters[i] < trips[i] {
-                    changed[i] = true;
-                    break;
-                }
-                counters[i] = 0;
-                changed[i] = true;
-            }
-            let touches =
-                |f: fn(Dim) -> bool| (0..NUM_DIMS).any(|i| changed[i] && f(Dim::from_index(i)));
-            (
-                touches(Dim::indexes_weights),
-                touches(Dim::indexes_inputs),
-                touches(Dim::indexes_outputs),
-            )
-        };
-
-        // DRAM traffic for this tile: fetch the tensors whose tiles
-        // changed. Output tiles stay resident across non-output loops;
-        // when the tile *changes*, the previous one is written back, and
-        // if the new one was produced before (reduction loops outside the
-        // output loops) its partial sums are read back in.
+    // DRAM traffic of one step: fetch the tensors whose tiles changed.
+    // Output tiles stay resident across non-output loops; when the tile
+    // *changes*, the previous one is written back. If the new one was
+    // produced before (reduction loops outside the output loops), the
+    // walk adds a partial-sum read on top.
+    let load = |changed: u8| {
         let mut load = 0.0;
-        if w_new {
+        if changed & WEIGHTS != 0 {
             load += w_vol;
         }
-        if i_new {
+        if changed & INPUTS != 0 {
             load += i_vol;
         }
-        if o_new && step > 0 {
-            load += o_vol; // write-back of the finished previous tile
-            let id = output_id(&counters);
-            if !seen_outputs.insert(id) {
-                load += o_vol; // partial-sum read of a revisited tile
-            }
-            live_output = id;
+        if changed & OUTPUTS != 0 {
+            load += o_vol;
         }
-        let _ = live_output;
-        dram_bytes += load;
+        load
+    };
 
-        // Two-stage double-buffered pipeline.
-        let load_cycles = load / params.dram_bandwidth;
-        let dram_done = dram_free + load_cycles;
-        dram_free = dram_done;
-        let start = dram_done.max(array_free);
-        stall += (dram_done - array_free).max(0.0);
-        array_free = start + array_time_per_tile;
+    // The loops that move, outermost first. An output tile's id is
+    // mixed-radix over the output dims' trip counts, the highest dim
+    // index least significant.
+    let mut out_stride = [0u64; NUM_DIMS];
+    let mut out_tiles = 1u64;
+    for i in (0..NUM_DIMS).rev() {
+        if Dim::from_index(i).indexes_outputs() {
+            out_stride[i] = out_tiles;
+            out_tiles *= trips[i];
+        }
+    }
+    let mut nest = [Loop::default(); NUM_DIMS];
+    let mut depth = 0;
+    for &d in sched.outer_order().order() {
+        let i = d.index();
+        if trips[i] > 1 {
+            nest[depth] = Loop {
+                trips: trips[i],
+                changes: touched_tensors(d),
+                out_stride: out_stride[i],
+            };
+            depth += 1;
+        }
+    }
+
+    // Output tiles already produced at least once: re-entering one costs
+    // a partial-sum read (the tile was evicted in between).
+    let mut seen = TileSet::new(out_tiles);
+    seen.insert(0);
+    let mut pipe = Pipeline::new(params.dram_bandwidth, array_time_per_tile);
+    // On the first iteration, weights and inputs load; there is no
+    // previous output tile to write back.
+    pipe.step(load(WEIGHTS | INPUTS));
+
+    if let Some((inner, outer)) = nest[..depth].split_last() {
+        let inner_load = load(inner.changes);
+        let inner_outputs = inner.changes & OUTPUTS != 0;
+        let mut counters = [0u64; NUM_DIMS];
+        let mut id = 0u64;
+        'walk: loop {
+            // Only the innermost index moves.
+            for _ in 1..inner.trips {
+                let mut step_load = inner_load;
+                if inner_outputs {
+                    id += inner.out_stride;
+                    if !seen.insert(id) {
+                        step_load += o_vol; // partial-sum read
+                    }
+                }
+                pipe.step(step_load);
+            }
+            // Carry: the innermost index wraps, and so does every outer
+            // one at its last trip, up to the first that can advance.
+            id -= (inner.trips - 1) * inner.out_stride;
+            let mut changed = inner.changes;
+            let mut k = outer.len();
+            loop {
+                if k == 0 {
+                    break 'walk;
+                }
+                k -= 1;
+                let l = &outer[k];
+                changed |= l.changes;
+                counters[k] += 1;
+                if counters[k] < l.trips {
+                    id += l.out_stride;
+                    break;
+                }
+                counters[k] = 0;
+                id -= (l.trips - 1) * l.out_stride;
+            }
+            let mut step_load = load(changed);
+            if changed & OUTPUTS != 0 && !seen.insert(id) {
+                step_load += o_vol; // partial-sum read
+            }
+            pipe.step(step_load);
+        }
     }
     // Final output tile write-back.
-    dram_bytes += o_vol;
-    array_free += o_vol / params.dram_bandwidth;
+    pipe.dram_bytes += o_vol;
+    pipe.array_free += o_vol / params.dram_bandwidth;
 
     // Pipeline fill, as in the analytical model.
     let ramp = rows + cols + rf_cycles;
 
     Ok(SimReport {
-        delay_cycles: array_free + ramp,
-        dram_bytes,
-        stall_cycles: stall,
+        delay_cycles: pipe.array_free + ramp,
+        dram_bytes: pipe.dram_bytes,
+        stall_cycles: pipe.stall,
         outer_iterations: total,
     })
+}
+
+const WEIGHTS: u8 = 1;
+const INPUTS: u8 = 2;
+const OUTPUTS: u8 = 4;
+
+/// The tensors whose tiles change when `d`'s index moves.
+fn touched_tensors(d: Dim) -> u8 {
+    let mut t = 0;
+    if d.indexes_weights() {
+        t |= WEIGHTS;
+    }
+    if d.indexes_inputs() {
+        t |= INPUTS;
+    }
+    if d.indexes_outputs() {
+        t |= OUTPUTS;
+    }
+    t
+}
+
+/// One outer loop with more than one trip.
+#[derive(Debug, Clone, Copy, Default)]
+struct Loop {
+    trips: u64,
+    /// [`touched_tensors`] of the loop's dim.
+    changes: u8,
+    /// Step of the output-tile id per trip (0 for non-output dims).
+    out_stride: u64,
+}
+
+/// A dense set of output-tile ids `0..len`.
+struct TileSet(Vec<u64>);
+
+impl TileSet {
+    fn new(len: u64) -> Self {
+        TileSet(vec![0; len.div_ceil(64) as usize])
+    }
+
+    /// Adds `id`; returns whether it was absent.
+    fn insert(&mut self, id: u64) -> bool {
+        let word = &mut self.0[(id / 64) as usize];
+        let bit = 1u64 << (id % 64);
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
+}
+
+/// The two-stage double-buffered pipeline: a DRAM channel in front of
+/// the PE array.
+struct Pipeline {
+    dram_bandwidth: f64,
+    array_time_per_tile: f64,
+    dram_free: f64,
+    array_free: f64,
+    dram_bytes: f64,
+    stall: f64,
+}
+
+impl Pipeline {
+    fn new(dram_bandwidth: f64, array_time_per_tile: f64) -> Self {
+        Pipeline {
+            dram_bandwidth,
+            array_time_per_tile,
+            dram_free: 0.0,
+            array_free: 0.0,
+            dram_bytes: 0.0,
+            stall: 0.0,
+        }
+    }
+
+    /// Fetches `load` bytes, then runs one tile on the array.
+    #[inline]
+    fn step(&mut self, load: f64) {
+        self.dram_bytes += load;
+        let load_cycles = load / self.dram_bandwidth;
+        let dram_done = self.dram_free + load_cycles;
+        self.dram_free = dram_done;
+        let start = dram_done.max(self.array_free);
+        self.stall += (dram_done - self.array_free).max(0.0);
+        self.array_free = start + self.array_time_per_tile;
+    }
 }
 
 #[cfg(test)]
@@ -260,7 +394,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use spotlight_accel::{Baseline, HardwareConfig};
+    use spotlight_accel::{Baseline, DataflowStyle, HardwareConfig};
     use spotlight_space::dataflows::dataflow_schedule;
     use spotlight_space::sample;
 
@@ -274,6 +408,313 @@ mod tests {
 
     fn nvdla_sched(l: &ConvLayer) -> Schedule {
         dataflow_schedule(Baseline::NvdlaLike.dataflow(), l, &hw())
+    }
+
+    /// The outer-loop walk as it was before the carry walk: a full
+    /// odometer step and a `HashSet` probe per iteration. Frozen here as
+    /// the reference the carry walk must match bit for bit.
+    mod frozen {
+        use super::*;
+
+        pub(super) fn simulate(
+            hw: &HardwareConfig,
+            sched: &Schedule,
+            layer: &ConvLayer,
+            max_iterations: u64,
+        ) -> Result<SimReport, SimError> {
+            // Reuse the analytical model's validity rules by evaluating once.
+            let analytical = CostModel::default()
+                .evaluate(hw, sched, layer)
+                .map_err(SimError::Infeasible)?;
+            let params = ModelParams::default();
+            let tiles = sched.tiles();
+
+            let rows = hw.pe_rows() as f64;
+            let cols = hw.pe_width() as f64;
+            let du0 = sched.outer_unroll();
+            let du1 = sched.inner_unroll();
+
+            // Outer temporal trip counts: the unrolled dimension advances in
+            // waves of `rows`.
+            let mut trips = [0u64; NUM_DIMS];
+            for (i, t) in trips.iter_mut().enumerate() {
+                let d = Dim::from_index(i);
+                *t = if d == du0 {
+                    (tiles.outer_trips(d) as f64 / rows).ceil() as u64
+                } else {
+                    tiles.outer_trips(d)
+                };
+                *t = (*t).max(1);
+            }
+            let total: u64 = trips.iter().product();
+            if total > max_iterations {
+                return Err(SimError::TooLarge {
+                    required: total,
+                    cap: max_iterations,
+                });
+            }
+
+            let rows_used = (tiles.outer_trips(du0) as f64).min(rows);
+            let (w1, i1, o1) = tiles.tensor_footprints(TileLevel::Scratchpad, layer);
+            let vol = |indexed: bool, fp: u64| fp as f64 * if indexed { rows_used } else { 1.0 };
+            let w_vol = vol(du0.indexes_weights(), w1);
+            let i_vol = vol(du0.indexes_inputs(), i1);
+            let o_vol = vol(du0.indexes_outputs(), o1);
+
+            // Per-outer-iteration array-side work: inner compute + NoC streaming,
+            // overlapped (the inner hierarchy is also double buffered).
+            let mut inner_t = [0u64; NUM_DIMS];
+            for (i, t) in inner_t.iter_mut().enumerate() {
+                let d = Dim::from_index(i);
+                *t = if d == du1 {
+                    (tiles.inner_trips(d) as f64 / cols).ceil() as u64
+                } else {
+                    tiles.inner_trips(d)
+                };
+                *t = (*t).max(1);
+            }
+            let inner_iters: f64 = inner_t.iter().map(|&t| t as f64).product();
+            let rf_cycles = (tiles.rf_tile_macs() as f64 / hw.simd_lanes() as f64).ceil();
+            let compute_per_tile = inner_iters * rf_cycles;
+            // Per-tile NoC volume, from the analytical model's totals (exact
+            // division: the analytical inner-level traffic is uniform per outer
+            // iteration).
+            let noc_per_tile = (analytical.l2_bytes - analytical.dram_bytes) / (total as f64);
+            let noc_cycles_per_tile = noc_per_tile / hw.noc_bandwidth() as f64;
+            let array_time_per_tile = compute_per_tile.max(noc_cycles_per_tile);
+
+            // Walk the outer loop nest in the schedule's order, tracking which
+            // tensors' tiles change each step.
+            let order = sched.outer_order().order();
+            let mut counters = [0u64; NUM_DIMS];
+            let mut dram_free = 0.0f64;
+            let mut array_free = 0.0f64;
+            let mut dram_bytes = 0.0f64;
+            let mut stall = 0.0f64;
+            // Output tiles already produced at least once: re-entering one costs
+            // a partial-sum read (the tile was evicted in between).
+            let mut seen_outputs: std::collections::HashSet<u64> = std::collections::HashSet::new();
+            let output_id = |counters: &[u64; NUM_DIMS]| -> u64 {
+                let mut id = 0u64;
+                for i in 0..NUM_DIMS {
+                    if Dim::from_index(i).indexes_outputs() {
+                        id = id * (trips[i] + 1) + counters[i];
+                    }
+                }
+                id
+            };
+            let mut live_output = output_id(&counters);
+            seen_outputs.insert(live_output);
+
+            for step in 0..total {
+                // Which tensors changed? On the first iteration, everything loads.
+                let (w_new, i_new, o_new) = if step == 0 {
+                    (true, true, true)
+                } else {
+                    // Advance the odometer (innermost loop first) and record which
+                    // dims changed: the incremented one plus all that wrapped.
+                    let mut changed = [false; NUM_DIMS];
+                    for &d in order.iter().rev() {
+                        let i = d.index();
+                        if trips[i] == 1 {
+                            continue; // degenerate loop: its index never moves
+                        }
+                        counters[i] += 1;
+                        if counters[i] < trips[i] {
+                            changed[i] = true;
+                            break;
+                        }
+                        counters[i] = 0;
+                        changed[i] = true;
+                    }
+                    let touches = |f: fn(Dim) -> bool| {
+                        (0..NUM_DIMS).any(|i| changed[i] && f(Dim::from_index(i)))
+                    };
+                    (
+                        touches(Dim::indexes_weights),
+                        touches(Dim::indexes_inputs),
+                        touches(Dim::indexes_outputs),
+                    )
+                };
+
+                // DRAM traffic for this tile: fetch the tensors whose tiles
+                // changed. Output tiles stay resident across non-output loops;
+                // when the tile *changes*, the previous one is written back, and
+                // if the new one was produced before (reduction loops outside the
+                // output loops) its partial sums are read back in.
+                let mut load = 0.0;
+                if w_new {
+                    load += w_vol;
+                }
+                if i_new {
+                    load += i_vol;
+                }
+                if o_new && step > 0 {
+                    load += o_vol; // write-back of the finished previous tile
+                    let id = output_id(&counters);
+                    if !seen_outputs.insert(id) {
+                        load += o_vol; // partial-sum read of a revisited tile
+                    }
+                    live_output = id;
+                }
+                let _ = live_output;
+                dram_bytes += load;
+
+                // Two-stage double-buffered pipeline.
+                let load_cycles = load / params.dram_bandwidth;
+                let dram_done = dram_free + load_cycles;
+                dram_free = dram_done;
+                let start = dram_done.max(array_free);
+                stall += (dram_done - array_free).max(0.0);
+                array_free = start + array_time_per_tile;
+            }
+            // Final output tile write-back.
+            dram_bytes += o_vol;
+            array_free += o_vol / params.dram_bandwidth;
+
+            // Pipeline fill, as in the analytical model.
+            let ramp = rows + cols + rf_cycles;
+
+            Ok(SimReport {
+                delay_cycles: array_free + ramp,
+                dram_bytes,
+                stall_cycles: stall,
+                outer_iterations: total,
+            })
+        }
+    }
+
+    fn assert_same(
+        hw: &HardwareConfig,
+        s: &Schedule,
+        l: &ConvLayer,
+        cap: u64,
+    ) -> Result<SimReport, SimError> {
+        let want = frozen::simulate(hw, s, l, cap);
+        let got = simulate(hw, s, l, cap);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(
+                    g.delay_cycles.to_bits(),
+                    w.delay_cycles.to_bits(),
+                    "delay: {s}"
+                );
+                assert_eq!(g.dram_bytes.to_bits(), w.dram_bytes.to_bits(), "dram: {s}");
+                assert_eq!(
+                    g.stall_cycles.to_bits(),
+                    w.stall_cycles.to_bits(),
+                    "stall: {s}"
+                );
+                assert_eq!(g.outer_iterations, w.outer_iterations, "iterations: {s}");
+            }
+            _ => assert_eq!(got, want, "{s}"),
+        }
+        got
+    }
+
+    fn outcome(r: &Result<SimReport, SimError>) -> usize {
+        match r {
+            Ok(_) => 0,
+            Err(SimError::TooLarge { .. }) => 1,
+            Err(SimError::Infeasible(_)) => 2,
+        }
+    }
+
+    #[test]
+    fn carry_walk_matches_the_frozen_walk_on_random_schedules() {
+        use spotlight_space::{sample::sample_hw, ParamRanges};
+        let layers = [
+            ConvLayer::new(1, 64, 3, 7, 7, 112, 112).with_stride(2),
+            ConvLayer::new(1, 256, 64, 1, 1, 56, 56),
+            ConvLayer::new(1, 128, 128, 3, 3, 28, 28),
+            ConvLayer::new(1, 1000, 2048, 1, 1, 1, 1),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let hws: Vec<HardwareConfig> = [Baseline::EyerissLike, Baseline::NvdlaLike]
+            .iter()
+            .flat_map(|b| [b.edge_config(), b.cloud_config()])
+            .chain(
+                [ParamRanges::edge(), ParamRanges::cloud()]
+                    .iter()
+                    .flat_map(|r| [r, r])
+                    .map(|r| sample_hw(&mut rng, r)),
+            )
+            .collect();
+        // Outcomes seen: simulated, too large, infeasible.
+        let mut seen = [0usize; 3];
+        for l in &layers {
+            for hw in &hws {
+                for style in DataflowStyle::RIGID {
+                    let s = dataflow_schedule(style, l, hw);
+                    seen[outcome(&assert_same(hw, &s, l, 1 << 20))] += 1;
+                }
+                for n in 0..40 {
+                    // Alternate rejection-sampled schedules, which are
+                    // mostly feasible, with raw draws, which mostly
+                    // are not; a small cap keeps debug builds quick and
+                    // exercises `TooLarge`.
+                    let s = if n % 2 == 0 {
+                        sample::sample_feasible_schedule(
+                            &mut rng,
+                            l,
+                            hw.rf_bytes_per_pe(),
+                            hw.l2_bytes(),
+                            64,
+                        )
+                    } else {
+                        sample::sample_schedule(&mut rng, l)
+                    };
+                    seen[outcome(&assert_same(hw, &s, l, 1 << 14))] += 1;
+                }
+            }
+        }
+        eprintln!("{seen:?}");
+        assert!(seen.iter().all(|&n| n >= 100), "outcomes {seen:?}");
+    }
+
+    #[test]
+    fn carry_walk_matches_the_frozen_walk_on_edge_cases() {
+        use spotlight_conv::LoopPermutation;
+        use Dim::*;
+        let l = ConvLayer::new(1, 8, 4, 3, 3, 6, 6);
+        let hw = HardwareConfig::new(128, 16, 2, 256, 256, 128).unwrap();
+        let sched = |l2: [u64; NUM_DIMS], order: [Dim; NUM_DIMS]| {
+            let tiles = spotlight_space::TileSizes::new(&l, l2, [1; NUM_DIMS]).unwrap();
+            let order = LoopPermutation::new(order).unwrap();
+            Schedule::new(tiles, order, LoopPermutation::canonical(), N, C)
+        };
+        // Outer trips: K 4, C 2, S 3, X 2; N, R and Y have one trip.
+        let l2 = [1, 2, 2, 3, 1, 3, 6];
+
+        // A single-iteration nest.
+        let single = sched(l.extents(), [N, K, C, R, S, X, Y]);
+        let r = assert_same(&hw, &single, &l, 1).unwrap();
+        assert_eq!(r.outer_iterations, 1);
+
+        // The innermost moving loop indexes outputs, and the reduction
+        // loop C outside it re-enters every output tile; trip-1 loops
+        // sit between the moving ones.
+        let reentering = sched(l2, [N, C, R, S, Y, X, K]);
+        let r = assert_same(&hw, &reentering, &l, 48).unwrap();
+        assert_eq!(r.outer_iterations, 48);
+        // The innermost moving loop is a reduction loop.
+        let reducing = sched(l2, [K, X, N, R, Y, S, C]);
+        assert_same(&hw, &reducing, &l, 48).unwrap();
+        // Only one loop moves.
+        let one_loop = sched([1, 1, 4, 3, 3, 6, 6], [N, C, R, S, X, Y, K]);
+        assert_eq!(
+            assert_same(&hw, &one_loop, &l, 8).unwrap().outer_iterations,
+            8
+        );
+
+        // The cap admits exactly `total` iterations.
+        assert_eq!(
+            assert_same(&hw, &reentering, &l, 47),
+            Err(SimError::TooLarge {
+                required: 48,
+                cap: 47
+            })
+        );
     }
 
     #[test]
