@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use spotlight::codesign::{CodesignConfig, Spotlight};
 use spotlight_conv::ConvLayer;
-use spotlight_eval::EvalEngine;
+use spotlight_eval::{CacheChoice, EvalEngine};
 use spotlight_models::Model;
 
 fn bench_model() -> Model {
@@ -25,6 +25,14 @@ fn bench_model() -> Model {
             ConvLayer::new(1, 96, 48, 3, 3, 14, 14),
         ],
     )
+}
+
+/// A maestro engine with memoization off, so every query is real work.
+fn uncached_engine() -> EvalEngine {
+    EvalEngine::builder()
+        .cache(CacheChoice::Disabled)
+        .build()
+        .expect("default backend")
 }
 
 fn bench_parallel_search(c: &mut Criterion) {
@@ -43,7 +51,7 @@ fn bench_parallel_search(c: &mut Criterion) {
             // Fresh engine per iteration so the memo cache never turns
             // the measured work into a lookup.
             b.iter(|| {
-                let tool = Spotlight::with_engine(cfg, EvalEngine::maestro().without_cache());
+                let tool = Spotlight::with_engine(cfg, uncached_engine());
                 black_box(tool.optimize_software(&hw, &models, 0))
             })
         });
@@ -59,7 +67,7 @@ fn bench_parallel_search(c: &mut Criterion) {
         .expect("bench config is valid");
     group.bench_function("cold_every_iter", |b| {
         b.iter(|| {
-            let tool = Spotlight::with_engine(cfg, EvalEngine::maestro().without_cache());
+            let tool = Spotlight::with_engine(cfg, uncached_engine());
             black_box(tool.optimize_software(&hw, &models, 0))
         })
     });

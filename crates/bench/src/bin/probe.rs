@@ -11,7 +11,7 @@ use spotlight_space::dataflows::rigid_schedules;
 fn main() {
     let hw = Baseline::EyerissLike.edge_config();
     let layer = ConvLayer::new(1, 128, 64, 3, 3, 28, 28);
-    let model = EvalEngine::maestro();
+    let model = EvalEngine::default();
     for (st, s) in rigid_schedules(&layer, &hw) {
         match model.evaluate(&hw, &s, &layer) {
             Ok(r) => println!(

@@ -62,20 +62,31 @@
 //!
 //! # Fidelity model
 //!
-//! A [`FidelitySpec`] turns the engine multi-fidelity: searches may
-//! evaluate through [`EvalEngine::evaluate_at`] with a [`Fidelity`] tag,
+//! A [`FidelitySpec`] turns the engine multi-fidelity: searches evaluate
+//! through [`EvalEngine::evaluate_observed`] with a [`Fidelity`] tag,
 //! and cheap rungs measure with fewer replicates or a coarser backend.
 //! The memo cache is keyed by the tag, so cheap and full observations
 //! never alias, and cheap reports carry the rung's calibrated variance
 //! inflation in their dispersion so surrogates trust them less.
 //!
+//! # Entry points
+//!
+//! An engine answers queries through exactly two methods:
+//! [`EvalEngine::evaluate`] costs one triple at full fidelity, and
+//! [`EvalEngine::evaluate_observed`] takes the fidelity tag, returns the
+//! [`ReplicateSummary`] as well, and reports the outcome to an
+//! [`Observer`]. Both run the same query core, so they count and cache
+//! identically.
+//!
 //! # Construction
 //!
-//! [`EvalEngineBuilder`] (via [`EvalEngine::builder`]) is the one way to
-//! assemble a configured engine. It composes, in canonical order:
+//! [`EvalEngine::builder`] is the one way to configure an engine, and
+//! `EvalEngine::default()` is the plain analytical (maestro) engine with
+//! a private unbounded cache. The builder composes, in canonical order:
 //! backend → fault injection → measurement noise → robust measurement →
-//! fidelity ladder → cache, and rejects invalid combinations with a
-//! typed [`BuildError`] instead of silently misbehaving.
+//! fidelity ladder → cache ([`CacheChoice`]), and rejects invalid
+//! combinations with a typed [`BuildError`] instead of silently
+//! misbehaving.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -109,7 +120,7 @@ use spotlight_timeloop::{TimeloopError, TimeloopModel};
 /// Stable names of every shipped backend, in CLI display order.
 pub const BACKEND_NAMES: [&str; 3] = ["maestro", "sim", "timeloop"];
 
-/// Error for [`EvalEngine::by_name`]: the requested backend does not
+/// Error for [`backend_by_name`]: the requested backend does not
 /// exist. The `Display` form lists every valid name, so front ends (the
 /// CLI included) print this instead of maintaining their own copy of the
 /// backend menu.
@@ -227,12 +238,6 @@ pub struct MaestroBackend {
     model: CostModel,
 }
 
-impl MaestroBackend {
-    pub fn new(model: CostModel) -> Self {
-        MaestroBackend { model }
-    }
-}
-
 impl CostBackend for MaestroBackend {
     fn name(&self) -> &'static str {
         "maestro"
@@ -260,29 +265,26 @@ impl CostBackend for MaestroBackend {
 /// analytical report instead of erroring, so searches never lose a
 /// feasible point to the simulation cap.
 ///
-/// The analytical model runs once per evaluation, with `model`, and the
-/// simulator takes its NoC traffic from that report. Every constructor
-/// in the tree passes `CostModel::default()`, the model
-/// [`spotlight_maestro::sim::simulate`] evaluates, so the reports equal
-/// those of `simulate`.
+/// The analytical model runs once per evaluation, and the simulator
+/// takes its NoC traffic from that report. It is `CostModel::default()`,
+/// the model [`spotlight_maestro::sim::simulate`] evaluates, so the
+/// reports equal those of `simulate`.
 #[derive(Debug, Clone, Copy)]
 pub struct SimBackend {
-    model: CostModel,
     max_iterations: u64,
 }
 
 impl SimBackend {
-    pub fn new(model: CostModel, max_iterations: u64) -> Self {
-        SimBackend {
-            model,
-            max_iterations,
-        }
+    /// A simulator that falls back to the analytical report past
+    /// `max_iterations` outer loop iterations.
+    pub fn new(max_iterations: u64) -> Self {
+        SimBackend { max_iterations }
     }
 }
 
 impl Default for SimBackend {
     fn default() -> Self {
-        SimBackend::new(CostModel::default(), 1 << 20)
+        SimBackend::new(1 << 20)
     }
 }
 
@@ -297,8 +299,7 @@ impl CostBackend for SimBackend {
         sched: &Schedule,
         layer: &ConvLayer,
     ) -> Result<CostReport, EvalError> {
-        let analytical = self
-            .model
+        let analytical = CostModel::default()
             .evaluate(hw, sched, layer)
             .map_err(EvalError::Mapping)?;
         match simulate_with(hw, sched, layer, &analytical, self.max_iterations) {
@@ -321,12 +322,6 @@ impl CostBackend for SimBackend {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TimeloopBackend {
     model: TimeloopModel,
-}
-
-impl TimeloopBackend {
-    pub fn new(model: TimeloopModel) -> Self {
-        TimeloopBackend { model }
-    }
 }
 
 impl CostBackend for TimeloopBackend {
@@ -354,9 +349,16 @@ impl CostBackend for TimeloopBackend {
 }
 
 /// Builds the boxed backend named by `name` (see [`BACKEND_NAMES`]).
-/// The building block behind [`EvalEngine::by_name`], exposed so
-/// callers can decorate the backend (e.g. with
-/// [`FaultInjectingBackend`]) before handing it to the engine.
+/// [`EvalEngineBuilder::backend`] resolves names through it; callers can
+/// also decorate the result before handing it to
+/// [`EvalEngineBuilder::custom_backend`]. The error's `Display` lists
+/// the valid names:
+///
+/// ```
+/// use spotlight_eval::backend_by_name;
+/// let err = backend_by_name("verilator").err().unwrap();
+/// assert!(err.to_string().contains("maestro, sim, timeloop"));
+/// ```
 pub fn backend_by_name(name: &str) -> Result<Box<dyn CostBackend>, UnknownBackend> {
     match name {
         "maestro" => Ok(Box::new(MaestroBackend::default())),
@@ -460,15 +462,20 @@ impl SharedCache {
     }
 }
 
-/// Monotonic, process-lifetime counters aggregated across every engine
-/// that carries a handle to them (see [`EvalEngine::with_global_stats`]).
+/// One set of evaluation counters and phase timers.
 ///
-/// Unlike an engine's own counters these are never reset or restored:
-/// `reset_stats` / `restore_logical_counters` rewrite per-run logical
-/// accounting, while these record operational totals — what the process
-/// actually did — which is what a metrics endpoint should export. A
-/// crash-recovered job therefore double-counts its replayed work here,
-/// deliberately: the work really was performed twice.
+/// Every engine keeps one as its own (per-run) counters. A shared
+/// handle attached with [`EvalEngineBuilder::global_stats`] is a
+/// monotonic, process-lifetime mirror aggregated across every engine
+/// that carries it: the engine repeats each increment there.
+///
+/// Unlike an engine's own counters the mirror is never reset or
+/// restored: `reset_stats` / `restore_logical_counters` rewrite per-run
+/// logical accounting, while the mirror records operational totals —
+/// what the process actually did — which is what a metrics endpoint
+/// should export. A crash-recovered job therefore double-counts its
+/// replayed work there, deliberately: the work really was performed
+/// twice.
 #[derive(Default)]
 pub struct GlobalEvalStats {
     evaluations: AtomicU64,
@@ -496,7 +503,7 @@ impl fmt::Debug for GlobalEvalStats {
 }
 
 impl GlobalEvalStats {
-    /// Snapshot of the aggregated counters, in [`EvalStats`] form.
+    /// Snapshot of the counters, in [`EvalStats`] form.
     pub fn snapshot(&self) -> EvalStats {
         EvalStats {
             evaluations: self.evaluations.load(Ordering::Relaxed),
@@ -520,6 +527,39 @@ impl GlobalEvalStats {
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
         }
+    }
+
+    fn add_phase_wall(&self, phase: &'static str, elapsed: Duration) {
+        *self
+            .phase_wall
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(phase)
+            .or_insert(Duration::ZERO) += elapsed;
+    }
+
+    fn reset(&self) {
+        for counter in [
+            &self.evaluations,
+            &self.cache_hits,
+            &self.cache_misses,
+            &self.infeasible,
+            &self.quarantined,
+            &self.transient_retries,
+            &self.failed_layers,
+            &self.sw_searches,
+            &self.evictions,
+            &self.replicate_measurements,
+            &self.outliers_rejected,
+            &self.fidelity_cheap_evals,
+            &self.fidelity_full_evals,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
+        self.phase_wall
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 }
 
@@ -620,7 +660,7 @@ impl EvalStats {
 /// use spotlight_conv::ConvLayer;
 /// use spotlight_space::dataflows::dataflow_schedule;
 ///
-/// let engine = EvalEngine::maestro();
+/// let engine = EvalEngine::default();
 /// let hw = HardwareConfig::new(256, 16, 2, 128, 256, 128).unwrap();
 /// let layer = ConvLayer::new(1, 64, 32, 3, 3, 28, 28);
 /// let sched = dataflow_schedule(DataflowStyle::WeightStationary, &layer, &hw);
@@ -634,13 +674,15 @@ impl EvalStats {
 pub struct EvalEngine {
     backend: Box<dyn CostBackend>,
     cache: Option<Arc<Mutex<MemoCache>>>,
+    /// This engine's counters and phase timers.
+    local: GlobalEvalStats,
     /// Process-wide counter mirror; every local increment is repeated
-    /// here when attached (see [`EvalEngine::with_global_stats`]).
+    /// here when attached (see [`EvalEngineBuilder::global_stats`]).
     global: Option<Arc<GlobalEvalStats>>,
     retry: RetryPolicy,
     robust: RobustPolicy,
     /// The multi-fidelity ladder, when one is attached; shapes how
-    /// [`EvalEngine::evaluate_at`] measures cheap rungs.
+    /// [`EvalEngine::evaluate_observed`] measures cheap rungs.
     fidelity: Option<FidelitySpec>,
     /// The coarse backend cheap rungs dispatch to in
     /// [`FidelityMode::Backend`]; `None` in the other modes.
@@ -654,20 +696,6 @@ pub struct EvalEngine {
     /// Mirror of `quarantine.len()`: lets the fault-free hot path skip
     /// the quarantine lock with a single relaxed load.
     quarantine_len: AtomicU64,
-    evaluations: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    infeasible: AtomicU64,
-    quarantined: AtomicU64,
-    transient_retries: AtomicU64,
-    failed_layers: AtomicU64,
-    sw_searches: AtomicU64,
-    evictions: AtomicU64,
-    replicate_measurements: AtomicU64,
-    outliers_rejected: AtomicU64,
-    fidelity_cheap_evals: AtomicU64,
-    fidelity_full_evals: AtomicU64,
-    phase_wall: Mutex<BTreeMap<&'static str, Duration>>,
 }
 
 impl fmt::Debug for EvalEngine {
@@ -680,18 +708,23 @@ impl fmt::Debug for EvalEngine {
     }
 }
 
+/// The analytical (maestro) engine with a private unbounded cache —
+/// what `EvalEngine::builder().build()` returns, without the fallible
+/// name lookup.
 impl Default for EvalEngine {
     fn default() -> Self {
-        EvalEngine::maestro()
+        EvalEngine::new(Box::new(MaestroBackend::default()), CacheChoice::Private)
     }
 }
 
 impl EvalEngine {
-    /// Wraps an arbitrary backend with caching enabled.
-    pub fn new(backend: Box<dyn CostBackend>) -> Self {
+    /// Wraps `backend` and `cache` with every other setting at its
+    /// default; the builder overrides them after.
+    fn new(backend: Box<dyn CostBackend>, cache: CacheChoice) -> Self {
         EvalEngine {
             backend,
-            cache: Some(Arc::new(Mutex::new(MemoCache::new(None)))),
+            cache: cache.into_cache(),
+            local: GlobalEvalStats::default(),
             global: None,
             retry: RetryPolicy::default(),
             robust: RobustPolicy::default(),
@@ -700,92 +733,25 @@ impl EvalEngine {
             deadline: Mutex::new(None),
             quarantine: Mutex::new(HashSet::new()),
             quarantine_len: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            infeasible: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            transient_retries: AtomicU64::new(0),
-            failed_layers: AtomicU64::new(0),
-            sw_searches: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            replicate_measurements: AtomicU64::new(0),
-            outliers_rejected: AtomicU64::new(0),
-            fidelity_cheap_evals: AtomicU64::new(0),
-            fidelity_full_evals: AtomicU64::new(0),
-            phase_wall: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The default analytical engine.
-    pub fn maestro() -> Self {
-        EvalEngine::new(Box::new(MaestroBackend::default()))
-    }
-
-    /// Analytical engine around an explicit cost model.
-    pub fn with_model(model: CostModel) -> Self {
-        EvalEngine::new(Box::new(MaestroBackend::new(model)))
-    }
-
-    /// Cycle-approximate engine (simulator with analytical fallback).
-    pub fn sim() -> Self {
-        EvalEngine::new(Box::new(SimBackend::default()))
-    }
-
-    /// Independent Timeloop-like engine.
-    pub fn timeloop() -> Self {
-        EvalEngine::new(Box::new(TimeloopBackend::default()))
-    }
-
-    /// Builds the engine named by `name` (see [`BACKEND_NAMES`]). The
-    /// error's `Display` lists the valid names:
-    ///
-    /// ```
-    /// use spotlight_eval::EvalEngine;
-    /// let err = EvalEngine::by_name("verilator").unwrap_err();
-    /// assert!(err.to_string().contains("maestro, sim, timeloop"));
-    /// ```
-    pub fn by_name(name: &str) -> Result<Self, UnknownBackend> {
-        Ok(EvalEngine::new(backend_by_name(name)?))
-    }
-
     /// Starts a builder: the one construction path for configured
-    /// engines (faults, noise, robust measurement, fidelity, cache).
-    /// See [`EvalEngineBuilder`] for the composition order.
+    /// engines (backend, faults, noise, robust measurement, fidelity,
+    /// cache, retries, global counters). See [`EvalEngineBuilder`] for
+    /// the composition order.
     pub fn builder() -> EvalEngineBuilder {
-        EvalEngineBuilder::new()
-    }
-
-    /// Disables memoization (every query hits the backend).
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// Attaches a [`SharedCache`], replacing the engine's private cache.
-    /// The caller is responsible for only sharing between engines with
-    /// identical evaluation semantics (backend, faults, noise, robust
-    /// policy); the per-engine hit/miss/eviction counters keep counting
-    /// this engine's own traffic.
-    pub fn with_shared_cache(mut self, shared: &SharedCache) -> Self {
-        self.cache = Some(shared.inner.clone());
-        self
-    }
-
-    /// Attaches a [`GlobalEvalStats`] mirror: from now on every counter
-    /// increment and phase-wall charge is applied both locally and to
-    /// `global`. Per-run resets and checkpoint restores touch only the
-    /// local counters, so the mirror accumulates operational totals
-    /// across runs, jobs, and engines.
-    pub fn with_global_stats(mut self, global: Arc<GlobalEvalStats>) -> Self {
-        self.global = Some(global);
-        self
-    }
-
-    /// Replaces the transient-retry schedule.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
+        EvalEngineBuilder {
+            backend_name: "maestro".to_string(),
+            custom: None,
+            faults: None,
+            noise: None,
+            robust: RobustPolicy::default(),
+            fidelity: None,
+            cache: CacheChoice::Private,
+            retry: RetryPolicy::default(),
+            global: None,
+        }
     }
 
     /// The active replicated-measurement policy.
@@ -796,12 +762,6 @@ impl EvalEngine {
     /// The attached multi-fidelity ladder, if any.
     pub fn fidelity_spec(&self) -> Option<&FidelitySpec> {
         self.fidelity.as_ref()
-    }
-
-    /// The canonical fidelity spec string for the run manifest, `None`
-    /// when no ladder is attached.
-    pub fn fidelity(&self) -> Option<String> {
-        self.fidelity.as_ref().map(|s| s.to_string())
     }
 
     /// Sets (or clears) the wall-clock deadline the retry backoff must
@@ -827,81 +787,113 @@ impl EvalEngine {
         self.backend.noise()
     }
 
-    /// Bumps a local counter and, when a [`GlobalEvalStats`] mirror is
-    /// attached, the matching global counter by the same amount.
-    fn count(&self, local: &AtomicU64, pick: fn(&GlobalEvalStats) -> &AtomicU64, n: u64) {
-        local.fetch_add(n, Ordering::Relaxed);
+    /// Bumps the counter `pick` selects by `n`, locally and, when a
+    /// [`GlobalEvalStats`] mirror is attached, in the mirror.
+    fn count(&self, pick: fn(&GlobalEvalStats) -> &AtomicU64, n: u64) {
+        pick(&self.local).fetch_add(n, Ordering::Relaxed);
         if let Some(global) = &self.global {
             pick(global).fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Costs one triple, consulting the quarantine list and the memo
-    /// cache before the backend. Transient backend failures are retried
-    /// per [`RetryPolicy`]; a query that exhausts its retries (or comes
-    /// back poisoned) quarantines its key, and later queries for it
-    /// short-circuit to [`EvalError::Quarantined`]. Only deterministic
-    /// outcomes (success / infeasibility) are memoized.
+    /// Costs one triple at full fidelity. See
+    /// [`EvalEngine::evaluate_observed`] for the query's semantics; this
+    /// is that query with [`Fidelity::Full`], no observer and the
+    /// [`ReplicateSummary`] dropped.
     pub fn evaluate(
         &self,
         hw: &HardwareConfig,
         sched: &Schedule,
         layer: &ConvLayer,
     ) -> Result<CostReport, EvalError> {
-        self.evaluate_robust(hw, sched, layer).map(|(r, _)| r)
+        self.query(hw, sched, layer, Fidelity::Full).map(|(r, _)| r)
     }
 
-    /// Like [`EvalEngine::evaluate`], additionally returning the
-    /// [`ReplicateSummary`] of the measurement — how many replicates
-    /// were taken, how many were rejected, and the residual dispersion
-    /// that heteroscedastic surrogates consume as observation noise.
+    /// Costs one triple at `fidelity`, returning the report with the
+    /// [`ReplicateSummary`] of its measurement, and reports the outcome
+    /// to `obs` tagged with the search step.
+    ///
+    /// The query consults the quarantine list and the memo cache before
+    /// the backend. Transient backend failures are retried per
+    /// [`RetryPolicy`]; a query that exhausts its retries (or comes back
+    /// poisoned) quarantines its key, and later queries for it
+    /// short-circuit to [`EvalError::Quarantined`]. Only deterministic
+    /// outcomes (success / infeasibility) are memoized, keyed by the
+    /// fidelity tag, so a cheap rung's report is never served for a
+    /// full-fidelity request (or vice versa). Cheap rungs measure per
+    /// the attached [`FidelitySpec`] — fewer replicates or the coarse
+    /// backend — and their summary's dispersion is inflated by the
+    /// rung's calibrated variance before it reaches the surrogate.
+    /// Without an attached spec, `Fidelity::Full` is plain evaluation.
     /// Under the single-shot default the summary is
     /// [`ReplicateSummary::single`].
-    pub fn evaluate_robust(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-    ) -> Result<(CostReport, ReplicateSummary), EvalError> {
-        self.evaluate_at_robust(hw, sched, layer, Fidelity::Full)
-    }
-
-    /// Costs one triple at an explicit [`Fidelity`].
-    pub fn evaluate_at(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        fidelity: Fidelity,
-    ) -> Result<CostReport, EvalError> {
-        self.evaluate_at_robust(hw, sched, layer, fidelity)
-            .map(|(r, _)| r)
-    }
-
-    /// Like [`EvalEngine::evaluate_robust`] at an explicit [`Fidelity`].
-    /// The memo cache is keyed by the tag, so a cheap rung's report is
-    /// never served for a full-fidelity request (or vice versa). Cheap
-    /// rungs measure per the attached [`FidelitySpec`] — fewer
-    /// replicates or the coarse backend — and their summary's
-    /// dispersion is inflated by the rung's calibrated variance before
-    /// it reaches the surrogate. Without an attached spec,
-    /// `Fidelity::Full` reproduces the historical path bit-for-bit.
-    pub fn evaluate_at_robust(
+    ///
+    /// Events: a [`Event::ScheduleEvaluated`], [`Event::Infeasible`] or
+    /// [`Event::Quarantined`] per query, and, when replication actually
+    /// happened, a `replicate_summary` event followed by an
+    /// `outlier_rejected` event if any replicate was discarded. This is
+    /// the single point where every observed search driver attributes
+    /// an evaluation to its enclosing `(hw_sample, layer)` span; with a
+    /// disabled observer it costs one branch over [`EvalEngine::evaluate`].
+    pub fn evaluate_observed(
         &self,
         hw: &HardwareConfig,
         sched: &Schedule,
         layer: &ConvLayer,
         fidelity: Fidelity,
+        obs: &Observer,
+        step: u64,
     ) -> Result<(CostReport, ReplicateSummary), EvalError> {
-        self.count(&self.evaluations, |g| &g.evaluations, 1);
+        let result = self.query(hw, sched, layer, fidelity);
+        match &result {
+            Ok((report, summary)) => {
+                obs.emit_with(|| Event::ScheduleEvaluated {
+                    step,
+                    delay_cycles: report.delay_cycles,
+                    energy_nj: report.energy_nj,
+                });
+                if summary.measurements > 1 {
+                    let s = *summary;
+                    obs.emit_with(|| Event::ReplicateSummary {
+                        step,
+                        measurements: s.measurements,
+                        rejected: s.rejected,
+                        dispersion: s.dispersion,
+                    });
+                    if s.rejected > 0 {
+                        obs.emit_with(|| Event::OutlierRejected {
+                            step,
+                            count: s.rejected,
+                        });
+                    }
+                }
+            }
+            Err(e) if e.is_infeasible() => obs.emit_with(|| Event::Infeasible {
+                step,
+                reason: e.to_string(),
+            }),
+            Err(e) => obs.emit_with(|| Event::Quarantined {
+                step,
+                reason: e.to_string(),
+            }),
+        }
+        result
+    }
+
+    /// The query core behind both entry points: counting, quarantine,
+    /// memo cache, then measurement.
+    fn query(
+        &self,
+        hw: &HardwareConfig,
+        sched: &Schedule,
+        layer: &ConvLayer,
+        fidelity: Fidelity,
+    ) -> Result<(CostReport, ReplicateSummary), EvalError> {
+        self.count(|c| &c.evaluations, 1);
         if self.fidelity.is_some() {
             match fidelity {
-                Fidelity::Full => {
-                    self.count(&self.fidelity_full_evals, |g| &g.fidelity_full_evals, 1)
-                }
-                Fidelity::Rung(_) => {
-                    self.count(&self.fidelity_cheap_evals, |g| &g.fidelity_cheap_evals, 1)
-                }
+                Fidelity::Full => self.count(|c| &c.fidelity_full_evals, 1),
+                Fidelity::Rung(_) => self.count(|c| &c.fidelity_cheap_evals, 1),
             }
         }
         // Fault-free runs pay one relaxed load here and never touch the
@@ -916,8 +908,8 @@ impl EvalEngine {
             if hit {
                 // Answered without the backend: counts as a cache hit so
                 // `evaluations == cache_hits + cache_misses` stays exact.
-                self.count(&self.cache_hits, |g| &g.cache_hits, 1);
-                self.count(&self.quarantined, |g| &g.quarantined, 1);
+                self.count(|c| &c.cache_hits, 1);
+                self.count(|c| &c.quarantined, 1);
                 return Err(EvalError::Quarantined);
             }
         }
@@ -932,7 +924,7 @@ impl EvalEngine {
                     .copied();
                 match cached {
                     Some(r) => {
-                        self.count(&self.cache_hits, |g| &g.cache_hits, 1);
+                        self.count(|c| &c.cache_hits, 1);
                         r
                     }
                     None => {
@@ -940,7 +932,7 @@ impl EvalEngine {
                         // and workers must not serialize on it. Two
                         // threads may race on one key; both store the
                         // same pure value, so last-write-wins is safe.
-                        self.count(&self.cache_misses, |g| &g.cache_misses, 1);
+                        self.count(|c| &c.cache_misses, 1);
                         let r = self.measure_robust(hw, sched, layer, fidelity);
                         let deterministic = match &r {
                             Ok(_) => true,
@@ -952,7 +944,7 @@ impl EvalEngine {
                                 .unwrap_or_else(PoisonError::into_inner)
                                 .insert(key, r);
                             if evicted > 0 {
-                                self.count(&self.evictions, |g| &g.evictions, evicted);
+                                self.count(|c| &c.evictions, evicted);
                             }
                         }
                         r
@@ -960,18 +952,18 @@ impl EvalEngine {
                 }
             }
             None => {
-                self.count(&self.cache_misses, |g| &g.cache_misses, 1);
+                self.count(|c| &c.cache_misses, 1);
                 self.measure_robust(hw, sched, layer, fidelity)
             }
         };
         match result {
             Err(e) if e.is_infeasible() => {
-                self.count(&self.infeasible, |g| &g.infeasible, 1);
+                self.count(|c| &c.infeasible, 1);
             }
             Err(EvalError::Transient) | Err(EvalError::Poisoned) => {
                 // Retries exhausted or report corrupted: quarantine the
                 // key so the run degrades instead of hammering it.
-                self.count(&self.quarantined, |g| &g.quarantined, 1);
+                self.count(|c| &c.quarantined, 1);
                 let fp = key_fingerprint(hw, sched, layer);
                 let mut q = self
                     .quarantine
@@ -1045,12 +1037,26 @@ impl EvalEngine {
 
         // One rejection pass over the initial replicates: a replicate
         // is an outlier when either metric is flagged. Never discard a
-        // majority — keep the least-deviant strict majority.
+        // majority — keep the least-deviant strict majority, ranking
+        // the flagged replicates by the larger of their two relative
+        // deviations from the replicate median (ties toward the lower
+        // index, by the stable sort).
         let delays: Vec<f64> = reports.iter().map(|r| r.delay_cycles).collect();
         let energies: Vec<f64> = reports.iter().map(|r| r.energy_nj).collect();
         let fd = outlier_flags(&delays, self.robust.mad_threshold);
         let fe = outlier_flags(&energies, self.robust.mad_threshold);
         let mut flagged: Vec<usize> = (0..reports.len()).filter(|&i| fd[i] || fe[i]).collect();
+        let (med_d, med_e) = (median(&delays), median(&energies));
+        let relative = |x: f64, med: f64| {
+            let dev = (x - med).abs();
+            if med == 0.0 {
+                dev
+            } else {
+                dev / med.abs()
+            }
+        };
+        let deviation = |i: usize| relative(delays[i], med_d).max(relative(energies[i], med_e));
+        flagged.sort_by(|&a, &b| deviation(b).total_cmp(&deviation(a)));
         let max_reject = reports.len() - (reports.len() / 2 + 1);
         flagged.truncate(max_reject);
         let mut survivors: Vec<CostReport> = reports
@@ -1101,13 +1107,9 @@ impl EvalEngine {
             rejected,
             dispersion: relative_dispersion(&delays).max(relative_dispersion(&energies)),
         });
-        self.count(
-            &self.replicate_measurements,
-            |g| &g.replicate_measurements,
-            measurements,
-        );
+        self.count(|c| &c.replicate_measurements, measurements);
         if rejected > 0 {
-            self.count(&self.outliers_rejected, |g| &g.outliers_rejected, rejected);
+            self.count(|c| &c.outliers_rejected, rejected);
         }
         Ok((report, summary))
     }
@@ -1141,7 +1143,7 @@ impl EvalEngine {
                         Some(remaining) => self.retry.backoff(attempt).min(remaining),
                         None => self.retry.backoff(attempt),
                     };
-                    self.count(&self.transient_retries, |g| &g.transient_retries, 1);
+                    self.count(|c| &c.transient_retries, 1);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
                     }
@@ -1161,99 +1163,17 @@ impl EvalEngine {
             .map(|deadline| deadline.saturating_duration_since(Instant::now()))
     }
 
-    /// Like [`EvalEngine::evaluate`], additionally reporting the outcome
-    /// to `obs` as a [`Event::ScheduleEvaluated`] or [`Event::Infeasible`]
-    /// trace event tagged with the search step. This is the single point
-    /// where every observed search driver attributes an evaluation to its
-    /// enclosing `(hw_sample, layer)` span; with a disabled observer it
-    /// costs one branch over the plain call.
-    pub fn evaluate_observed(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        obs: &Observer,
-        step: u64,
-    ) -> Result<CostReport, EvalError> {
-        self.evaluate_observed_robust(hw, sched, layer, obs, step)
-            .map(|(r, _)| r)
-    }
-
-    /// Like [`EvalEngine::evaluate_observed`], additionally returning
-    /// the [`ReplicateSummary`] and emitting `replicate_summary` /
-    /// `outlier_rejected` trace events when replication actually
-    /// happened. Single-shot measurement emits exactly the historical
-    /// event stream.
-    pub fn evaluate_observed_robust(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        obs: &Observer,
-        step: u64,
-    ) -> Result<(CostReport, ReplicateSummary), EvalError> {
-        self.evaluate_at_observed_robust(hw, sched, layer, Fidelity::Full, obs, step)
-    }
-
-    /// Like [`EvalEngine::evaluate_observed_robust`] at an explicit
-    /// [`Fidelity`]. The emitted trace events are identical in shape;
-    /// only the measurement (and its cache key) differ by rung.
-    pub fn evaluate_at_observed_robust(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        fidelity: Fidelity,
-        obs: &Observer,
-        step: u64,
-    ) -> Result<(CostReport, ReplicateSummary), EvalError> {
-        let result = self.evaluate_at_robust(hw, sched, layer, fidelity);
-        match &result {
-            Ok((report, summary)) => {
-                obs.emit_with(|| Event::ScheduleEvaluated {
-                    step,
-                    delay_cycles: report.delay_cycles,
-                    energy_nj: report.energy_nj,
-                });
-                if summary.measurements > 1 {
-                    let s = *summary;
-                    obs.emit_with(|| Event::ReplicateSummary {
-                        step,
-                        measurements: s.measurements,
-                        rejected: s.rejected,
-                        dispersion: s.dispersion,
-                    });
-                    if s.rejected > 0 {
-                        obs.emit_with(|| Event::OutlierRejected {
-                            step,
-                            count: s.rejected,
-                        });
-                    }
-                }
-            }
-            Err(e) if e.is_infeasible() => obs.emit_with(|| Event::Infeasible {
-                step,
-                reason: e.to_string(),
-            }),
-            Err(e) => obs.emit_with(|| Event::Quarantined {
-                step,
-                reason: e.to_string(),
-            }),
-        }
-        result
-    }
-
     /// Records one software-schedule search driven through this engine.
     /// Search drivers call this once per per-layer schedule search so
     /// accounting tests can assert `evaluations == sw_searches * budget`
     /// exactly.
     pub fn count_sw_search(&self) {
-        self.count(&self.sw_searches, |g| &g.sw_searches, 1);
+        self.count(|c| &c.sw_searches, 1);
     }
 
     /// Records one layer abandoned after its worker panicked twice.
     pub fn count_failed_layer(&self) {
-        self.count(&self.failed_layers, |g| &g.failed_layers, 1);
+        self.count(|c| &c.failed_layers, 1);
     }
 
     /// Restores the *logical* counters from a checkpoint when resuming
@@ -1272,12 +1192,13 @@ impl EvalEngine {
         failed_layers: u64,
         outliers_rejected: u64,
     ) {
-        self.evaluations.store(evaluations, Ordering::Relaxed);
-        self.sw_searches.store(sw_searches, Ordering::Relaxed);
-        self.infeasible.store(infeasible, Ordering::Relaxed);
-        self.quarantined.store(quarantined, Ordering::Relaxed);
-        self.failed_layers.store(failed_layers, Ordering::Relaxed);
-        self.outliers_rejected
+        let c = &self.local;
+        c.evaluations.store(evaluations, Ordering::Relaxed);
+        c.sw_searches.store(sw_searches, Ordering::Relaxed);
+        c.infeasible.store(infeasible, Ordering::Relaxed);
+        c.quarantined.store(quarantined, Ordering::Relaxed);
+        c.failed_layers.store(failed_layers, Ordering::Relaxed);
+        c.outliers_rejected
             .store(outliers_rejected, Ordering::Relaxed);
     }
 
@@ -1294,83 +1215,27 @@ impl EvalEngine {
     /// e.g. the daBO surrogate's fit/acquisition split, which is measured
     /// inside the searcher and folded in here after the search loop.
     pub fn add_phase_wall(&self, phase: &'static str, elapsed: Duration) {
-        *self
-            .phase_wall
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(phase)
-            .or_insert(Duration::ZERO) += elapsed;
+        self.local.add_phase_wall(phase, elapsed);
         if let Some(global) = &self.global {
-            *global
-                .phase_wall
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(phase)
-                .or_insert(Duration::ZERO) += elapsed;
+            global.add_phase_wall(phase, elapsed);
         }
     }
 
     /// Logical queries answered so far.
     pub fn evaluations(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
+        self.local.evaluations.load(Ordering::Relaxed)
     }
 
     /// Snapshot of every counter.
     pub fn stats(&self) -> EvalStats {
-        EvalStats {
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            infeasible: self.infeasible.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            transient_retries: self.transient_retries.load(Ordering::Relaxed),
-            failed_layers: self.failed_layers.load(Ordering::Relaxed),
-            sw_searches: self.sw_searches.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            replicate_measurements: self.replicate_measurements.load(Ordering::Relaxed),
-            outliers_rejected: self.outliers_rejected.load(Ordering::Relaxed),
-            fidelity_cheap_evals: self.fidelity_cheap_evals.load(Ordering::Relaxed),
-            fidelity_full_evals: self.fidelity_full_evals.load(Ordering::Relaxed),
-            phase_wall: self
-                .phase_wall
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-        }
+        self.local.snapshot()
     }
 
     /// Zeroes every counter and phase timer. The memo cache and the
     /// quarantine list survive so later runs still benefit from earlier
-    /// work; call [`EvalEngine::clear_cache`] to drop the cache too.
+    /// work; an attached [`GlobalEvalStats`] mirror is left alone.
     pub fn reset_stats(&self) {
-        self.evaluations.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.infeasible.store(0, Ordering::Relaxed);
-        self.quarantined.store(0, Ordering::Relaxed);
-        self.transient_retries.store(0, Ordering::Relaxed);
-        self.failed_layers.store(0, Ordering::Relaxed);
-        self.sw_searches.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.replicate_measurements.store(0, Ordering::Relaxed);
-        self.outliers_rejected.store(0, Ordering::Relaxed);
-        self.fidelity_cheap_evals.store(0, Ordering::Relaxed);
-        self.fidelity_full_evals.store(0, Ordering::Relaxed);
-        self.phase_wall
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-
-    /// Drops every memoized result.
-    pub fn clear_cache(&self) {
-        if let Some(cache) = &self.cache {
-            let mut guard = cache.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.map.clear();
-            guard.order.clear();
-        }
+        self.local.reset();
     }
 
     /// Number of distinct triples currently memoized.
@@ -1418,19 +1283,36 @@ impl From<UnknownBackend> for BuildError {
     }
 }
 
-/// Which cache the built engine carries.
-enum CacheChoice {
+/// Which memo cache an engine carries; set with
+/// [`EvalEngineBuilder::cache`].
+#[derive(Debug, Clone, Default)]
+pub enum CacheChoice {
     /// Private unbounded cache (the default).
+    #[default]
     Private,
     /// Private cache, FIFO-bounded to this many entries.
     Capped(usize),
-    /// A [`SharedCache`] handle other engines may also hold.
+    /// A [`SharedCache`] handle other engines may also hold. Only sound
+    /// between engines with identical evaluation semantics (see
+    /// [`SharedCache`]).
     Shared(SharedCache),
-    /// No memoization at all.
+    /// No memoization at all: every query invokes the backend.
     Disabled,
 }
 
-/// The single construction path for configured [`EvalEngine`]s.
+impl CacheChoice {
+    fn into_cache(self) -> Option<Arc<Mutex<MemoCache>>> {
+        match self {
+            CacheChoice::Private => Some(Arc::new(Mutex::new(MemoCache::new(None)))),
+            CacheChoice::Capped(cap) => Some(Arc::new(Mutex::new(MemoCache::new(Some(cap))))),
+            CacheChoice::Shared(shared) => Some(shared.inner),
+            CacheChoice::Disabled => None,
+        }
+    }
+}
+
+/// The single construction path for configured [`EvalEngine`]s, started
+/// by [`EvalEngine::builder`].
 ///
 /// Pieces compose in one canonical order, regardless of the order the
 /// setters are called in:
@@ -1446,22 +1328,22 @@ enum CacheChoice {
 ///    coarse backend of [`FidelityMode::Backend`] (which stays
 ///    *undecorated*: the cheap model is deterministic even when the
 ///    primary backend rehearses faults or noise);
-/// 6. **cache** — private, capped, shared, or disabled.
+/// 6. **cache** — private, capped, shared, or disabled ([`CacheChoice`]).
 ///
 /// ```
-/// use spotlight_eval::{Aggregation, EvalEngine, RobustPolicy};
+/// use spotlight_eval::{Aggregation, CacheChoice, EvalEngine, RobustPolicy};
 /// let engine = EvalEngine::builder()
 ///     .backend("sim")
 ///     .robust(RobustPolicy::replicated(3, Aggregation::Median))
-///     .cache_cap(1024)
+///     .cache(CacheChoice::Capped(1024))
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(engine.backend_name(), "sim");
 /// ```
 ///
-/// Contradictory requests (a cache cap on a disabled cache, a fidelity
-/// ladder that cheapens into the primary backend, a replicate ladder
-/// with nothing to cut) fail with a typed [`BuildError`].
+/// Contradictory requests (a fidelity ladder that cheapens into the
+/// primary backend, a replicate ladder with nothing to cut) fail with a
+/// typed [`BuildError`].
 pub struct EvalEngineBuilder {
     backend_name: String,
     custom: Option<Box<dyn CostBackend>>,
@@ -1470,37 +1352,11 @@ pub struct EvalEngineBuilder {
     robust: RobustPolicy,
     fidelity: Option<FidelitySpec>,
     cache: CacheChoice,
-    cache_set: bool,
     retry: RetryPolicy,
     global: Option<Arc<GlobalEvalStats>>,
-    /// First conflict detected while composing; reported by `build`.
-    deferred: Option<BuildError>,
-}
-
-impl Default for EvalEngineBuilder {
-    fn default() -> Self {
-        EvalEngineBuilder::new()
-    }
 }
 
 impl EvalEngineBuilder {
-    /// A builder for the default analytical (maestro) engine.
-    pub fn new() -> Self {
-        EvalEngineBuilder {
-            backend_name: "maestro".to_string(),
-            custom: None,
-            faults: None,
-            noise: None,
-            robust: RobustPolicy::default(),
-            fidelity: None,
-            cache: CacheChoice::Private,
-            cache_set: false,
-            retry: RetryPolicy::default(),
-            global: None,
-            deferred: None,
-        }
-    }
-
     /// Selects the backend by name (see [`BACKEND_NAMES`]); resolution
     /// errors surface from [`EvalEngineBuilder::build`].
     pub fn backend(mut self, name: &str) -> Self {
@@ -1539,38 +1395,9 @@ impl EvalEngineBuilder {
         self
     }
 
-    /// Bounds the private memo cache to `cap` entries (FIFO eviction).
-    pub fn cache_cap(mut self, cap: usize) -> Self {
-        self = self.note_cache_choice();
-        self.cache = CacheChoice::Capped(cap);
-        self
-    }
-
-    /// Attaches a [`SharedCache`] instead of a private one. Only sound
-    /// between engines with identical evaluation semantics (see
-    /// [`SharedCache`]).
-    pub fn shared_cache(mut self, shared: &SharedCache) -> Self {
-        self = self.note_cache_choice();
-        self.cache = CacheChoice::Shared(shared.clone());
-        self
-    }
-
-    /// Disables memoization entirely.
-    pub fn no_cache(mut self) -> Self {
-        self = self.note_cache_choice();
-        self.cache = CacheChoice::Disabled;
-        self
-    }
-
-    fn note_cache_choice(mut self) -> Self {
-        if self.cache_set && self.deferred.is_none() {
-            self.deferred = Some(BuildError::InvalidCombination {
-                message: "more than one cache choice \
-                          (cache_cap / shared_cache / no_cache are exclusive)"
-                    .to_string(),
-            });
-        }
-        self.cache_set = true;
+    /// Chooses the memo cache; the default is [`CacheChoice::Private`].
+    pub fn cache(mut self, cache: CacheChoice) -> Self {
+        self.cache = cache;
         self
     }
 
@@ -1580,7 +1407,11 @@ impl EvalEngineBuilder {
         self
     }
 
-    /// Attaches a process-wide [`GlobalEvalStats`] mirror.
+    /// Attaches a process-wide [`GlobalEvalStats`] mirror: every counter
+    /// increment and phase-wall charge is applied both locally and to
+    /// `global`. Per-run resets and checkpoint restores touch only the
+    /// local counters, so the mirror accumulates operational totals
+    /// across runs, jobs, and engines.
     pub fn global_stats(mut self, global: Arc<GlobalEvalStats>) -> Self {
         self.global = Some(global);
         self
@@ -1593,17 +1424,14 @@ impl EvalEngineBuilder {
     /// [`BuildError::UnknownBackend`] when a backend name (primary or
     /// the fidelity ladder's cheap backend) does not resolve;
     /// [`BuildError::InvalidCombination`] when the pieces contradict
-    /// each other — two cache choices, a [`FidelityMode::Backend`]
-    /// ladder whose cheap backend *is* the primary backend, or a
+    /// each other — a [`FidelityMode::Backend`] ladder whose cheap
+    /// backend *is* the primary backend, or a
     /// [`FidelityMode::Replicate`] ladder on a single-shot robust
     /// policy (no replicates to cut).
     pub fn build(self) -> Result<EvalEngine, BuildError> {
         let invalid = |message: &str| BuildError::InvalidCombination {
             message: message.to_string(),
         };
-        if let Some(err) = self.deferred {
-            return Err(err);
-        }
         let mut backend = match self.custom {
             Some(custom) => custom,
             None => backend_by_name(&self.backend_name)?,
@@ -1635,26 +1463,12 @@ impl EvalEngineBuilder {
                 ));
             }
         }
-        let mut engine = EvalEngine::new(backend);
+        let mut engine = EvalEngine::new(backend, self.cache);
         engine.robust = self.robust;
         engine.retry = self.retry;
         engine.fidelity = self.fidelity;
         engine.cheap_backend = cheap_backend;
-        match self.cache {
-            CacheChoice::Private => {}
-            CacheChoice::Capped(cap) => {
-                engine.cache = Some(Arc::new(Mutex::new(MemoCache::new(Some(cap)))));
-            }
-            CacheChoice::Shared(shared) => {
-                engine.cache = Some(shared.inner.clone());
-            }
-            CacheChoice::Disabled => {
-                engine.cache = None;
-            }
-        }
-        if let Some(global) = self.global {
-            engine.global = Some(global);
-        }
+        engine.global = self.global;
         Ok(engine)
     }
 }
@@ -1676,7 +1490,7 @@ mod tests {
     #[test]
     fn maestro_backend_matches_direct_model() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         let via_engine = engine.evaluate(&hw, &sched, &layer).unwrap();
         let direct = CostModel::default().evaluate(&hw, &sched, &layer).unwrap();
         assert_eq!(via_engine, direct);
@@ -1685,7 +1499,7 @@ mod tests {
     #[test]
     fn cache_returns_identical_results_and_counts_hits() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         let a = engine.evaluate(&hw, &sched, &layer);
         let b = engine.evaluate(&hw, &sched, &layer);
         assert_eq!(a, b);
@@ -1700,7 +1514,10 @@ mod tests {
     #[test]
     fn disabled_cache_still_counts_logical_queries() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro().without_cache();
+        let engine = EvalEngine::builder()
+            .cache(CacheChoice::Disabled)
+            .build()
+            .unwrap();
         let a = engine.evaluate(&hw, &sched, &layer);
         let b = engine.evaluate(&hw, &sched, &layer);
         assert_eq!(a, b);
@@ -1716,7 +1533,7 @@ mod tests {
         // The whole layer as one RF tile overflows any edge register file.
         let (hw, _, layer) = triple();
         let sched = Sched::trivial(&layer).with_tiles(TileSizes::whole_layer(&layer));
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         assert!(engine.evaluate(&hw, &sched, &layer).is_err());
         assert!(engine.evaluate(&hw, &sched, &layer).is_err());
         let stats = engine.stats();
@@ -1728,7 +1545,7 @@ mod tests {
     fn sim_backend_falls_back_on_too_large_nests() {
         let (hw, sched, layer) = triple();
         // Cap of zero iterations forces TooLarge on every nest.
-        let capped = SimBackend::new(CostModel::default(), 0);
+        let capped = SimBackend::new(0);
         let analytical = CostModel::default().evaluate(&hw, &sched, &layer).unwrap();
         assert_eq!(capped.evaluate(&hw, &sched, &layer).unwrap(), analytical);
 
@@ -1746,7 +1563,7 @@ mod tests {
         // double-buffered capacity checks.
         let (hw, _, layer) = triple();
         let sched = Sched::trivial(&layer);
-        let engine = EvalEngine::timeloop();
+        let engine = EvalEngine::builder().backend("timeloop").build().unwrap();
         let r = engine.evaluate(&hw, &sched, &layer).unwrap();
         let direct = TimeloopModel::default()
             .evaluate(&hw, &sched, &layer)
@@ -1757,50 +1574,158 @@ mod tests {
     }
 
     #[test]
-    fn by_name_resolves_all_backends() {
+    fn backend_names_resolve_to_every_backend() {
         for name in BACKEND_NAMES {
-            assert_eq!(EvalEngine::by_name(name).unwrap().backend_name(), name);
+            let engine = EvalEngine::builder().backend(name).build().unwrap();
+            assert_eq!(engine.backend_name(), name);
         }
-        let err = EvalEngine::by_name("abacus").unwrap_err();
+        let err = backend_by_name("abacus").err().unwrap();
         assert_eq!(err.requested, "abacus");
         for name in BACKEND_NAMES {
             assert!(err.to_string().contains(name), "{err}");
         }
     }
 
-    #[test]
-    fn observed_evaluation_attributes_to_span() {
+    /// Runs `queries` through `evaluate_observed` at full fidelity on
+    /// one engine and through `evaluate` on its twin, asserts the two
+    /// leave equal counters (phase timers aside) and that every event
+    /// lands in the observer's span, and returns the observed results
+    /// with the events.
+    fn observe_against_twin(
+        make: impl Fn() -> EvalEngine,
+        queries: &[(&Schedule, u64)],
+    ) -> (Vec<CacheValue>, Vec<Event>) {
         use spotlight_obs::MemorySink;
-        use std::sync::Arc;
 
-        let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let (hw, _, layer) = triple();
+        let (observed, plain) = (make(), make());
         let sink = Arc::new(MemorySink::new());
         let obs = Observer::new(sink.clone()).with_hw_sample(2).with_layer(1);
-        let ok = engine.evaluate_observed(&hw, &sched, &layer, &obs, 0);
-        assert!(ok.is_ok());
-        let bad = Sched::trivial(&layer).with_tiles(TileSizes::whole_layer(&layer));
-        assert!(engine
-            .evaluate_observed(&hw, &bad, &layer, &obs, 1)
-            .is_err());
-        let recs = sink.records();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].span_key(), (Some(2), Some(1)));
-        assert!(matches!(
-            recs[0].event,
-            Event::ScheduleEvaluated { step: 0, .. }
-        ));
-        match &recs[1].event {
-            Event::Infeasible { step: 1, reason } => assert!(!reason.is_empty()),
-            other => panic!("expected infeasible, got {other:?}"),
+        let results: Vec<_> = queries
+            .iter()
+            .map(|&(sched, step)| {
+                let r = observed.evaluate_observed(&hw, sched, &layer, Fidelity::Full, &obs, step);
+                assert_eq!(
+                    r.map(|(report, _)| report),
+                    plain.evaluate(&hw, sched, &layer)
+                );
+                r
+            })
+            .collect();
+        let without_phases = |engine: &EvalEngine| EvalStats {
+            phase_wall: Vec::new(),
+            ..engine.stats()
+        };
+        assert_eq!(without_phases(&observed), without_phases(&plain));
+        let records = sink.records();
+        for r in &records {
+            assert_eq!(r.span_key(), (Some(2), Some(1)));
         }
-        // Observed evaluation is counted exactly like the plain one.
-        assert_eq!(engine.stats().evaluations, 2);
+        (results, records.into_iter().map(|r| r.event).collect())
+    }
+
+    #[test]
+    fn observed_evaluation_attributes_to_span() {
+        let (_, sched, layer) = triple();
+        let bad = Sched::trivial(&layer).with_tiles(TileSizes::whole_layer(&layer));
+
+        // Single-shot: one event per query, no replicate events.
+        let (results, events) =
+            observe_against_twin(EvalEngine::default, &[(&sched, 0), (&bad, 1)]);
+        let report = results[0].unwrap().0;
+        let reason = results[1].unwrap_err().to_string();
+        assert!(!reason.is_empty());
+        assert_eq!(
+            events,
+            vec![
+                Event::ScheduleEvaluated {
+                    step: 0,
+                    delay_cycles: report.delay_cycles,
+                    energy_nj: report.energy_nj,
+                },
+                Event::Infeasible { step: 1, reason },
+            ]
+        );
+
+        // Replicated noisy measurement: a replicate summary follows the
+        // evaluation; the cache hit replays both.
+        let noise: NoisePlan = "seed=7,model=gauss,sigma=0.1".parse().unwrap();
+        let noisy = || {
+            EvalEngine::builder()
+                .noise(Some(noise))
+                .robust(RobustPolicy::replicated(5, Aggregation::Median))
+                .build()
+                .unwrap()
+        };
+        let (results, events) = observe_against_twin(noisy, &[(&sched, 3), (&sched, 4)]);
+        let (report, summary) = results[0].unwrap();
+        assert_eq!(results[1], results[0]);
+        assert_eq!(summary.measurements, 5);
+        assert_eq!(summary.rejected, 0);
+        let replicated = |step| {
+            vec![
+                Event::ScheduleEvaluated {
+                    step,
+                    delay_cycles: report.delay_cycles,
+                    energy_nj: report.energy_nj,
+                },
+                Event::ReplicateSummary {
+                    step,
+                    measurements: 5,
+                    rejected: 0,
+                    dispersion: summary.dispersion,
+                },
+            ]
+        };
+        assert_eq!(events, [replicated(3), replicated(4)].concat());
+
+        // A rejected replicate adds an outlier event after the summary.
+        let (results, events) = observe_against_twin(skewed_engine, &[(&sched, 5)]);
+        let (report, summary) = results[0].unwrap();
+        assert_eq!(
+            events,
+            vec![
+                Event::ScheduleEvaluated {
+                    step: 5,
+                    delay_cycles: report.delay_cycles,
+                    energy_nj: report.energy_nj,
+                },
+                Event::ReplicateSummary {
+                    step: 5,
+                    measurements: 3,
+                    rejected: 1,
+                    dispersion: summary.dispersion,
+                },
+                Event::OutlierRejected { step: 5, count: 1 },
+            ]
+        );
+
+        // Retries run out: the first query quarantines the key, the
+        // second short-circuits on it.
+        let flaky = || retrying_engine(FlakyBackend::new(u64::MAX), fast_retry());
+        let (results, events) = observe_against_twin(flaky, &[(&sched, 6), (&sched, 7)]);
+        assert_eq!(
+            results,
+            vec![Err(EvalError::Transient), Err(EvalError::Quarantined)]
+        );
+        assert_eq!(
+            events,
+            vec![
+                Event::Quarantined {
+                    step: 6,
+                    reason: EvalError::Transient.to_string(),
+                },
+                Event::Quarantined {
+                    step: 7,
+                    reason: EvalError::Quarantined.to_string(),
+                },
+            ]
+        );
     }
 
     #[test]
     fn phase_timer_accumulates_and_reset_clears() {
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         let v = engine.time_phase("sw_search", || 7);
         assert_eq!(v, 7);
         engine.time_phase("sw_search", || ());
@@ -1816,7 +1741,7 @@ mod tests {
 
     #[test]
     fn add_phase_wall_folds_external_timers_in() {
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         engine.add_phase_wall("surrogate_fit", Duration::from_millis(3));
         engine.add_phase_wall("acquisition", Duration::from_millis(2));
         engine.add_phase_wall("surrogate_fit", Duration::from_millis(1));
@@ -1866,6 +1791,14 @@ mod tests {
         }
     }
 
+    fn retrying_engine(backend: impl CostBackend + 'static, retry: RetryPolicy) -> EvalEngine {
+        EvalEngine::builder()
+            .custom_backend(Box::new(backend))
+            .retry(retry)
+            .build()
+            .unwrap()
+    }
+
     fn fast_retry() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
@@ -1877,8 +1810,7 @@ mod tests {
     #[test]
     fn transient_failures_are_retried_inline() {
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(2))).with_retry_policy(fast_retry());
+        let engine = retrying_engine(FlakyBackend::new(2), fast_retry());
         // Two transient failures, then success, all within one query.
         assert!(engine.evaluate(&hw, &sched, &layer).is_ok());
         let stats = engine.stats();
@@ -1893,8 +1825,7 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_the_key() {
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(u64::MAX))).with_retry_policy(fast_retry());
+        let engine = retrying_engine(FlakyBackend::new(u64::MAX), fast_retry());
         assert_eq!(
             engine.evaluate(&hw, &sched, &layer),
             Err(EvalError::Transient)
@@ -1932,7 +1863,7 @@ mod tests {
             }
         }
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::new(Box::new(PoisonBackend)).with_retry_policy(fast_retry());
+        let engine = retrying_engine(PoisonBackend, fast_retry());
         assert_eq!(
             engine.evaluate(&hw, &sched, &layer),
             Err(EvalError::Poisoned)
@@ -1949,7 +1880,7 @@ mod tests {
 
     #[test]
     fn restored_counters_feed_the_next_snapshot() {
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         engine.restore_logical_counters(10, 2, 3, 1, 1, 4);
         let stats = engine.stats();
         assert_eq!(stats.evaluations, 10);
@@ -1973,7 +1904,7 @@ mod tests {
     #[test]
     fn engine_is_shareable_across_scoped_threads() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| engine.evaluate(&hw, &sched, &layer).unwrap());
@@ -1996,8 +1927,10 @@ mod tests {
     #[test]
     fn default_policy_measures_once_with_single_summary() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
-        let (report, summary) = engine.evaluate_robust(&hw, &sched, &layer).unwrap();
+        let engine = EvalEngine::default();
+        let (report, summary) = engine
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
+            .unwrap();
         assert_eq!(summary, ReplicateSummary::single());
         assert_eq!(report, engine.evaluate(&hw, &sched, &layer).unwrap());
         let stats = engine.stats();
@@ -2018,7 +1951,9 @@ mod tests {
                 .unwrap()
         };
         let engine = make();
-        let (report, summary) = engine.evaluate_robust(&hw, &sched, &layer).unwrap();
+        let (report, summary) = engine
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
+            .unwrap();
         let clean = CostModel::default().evaluate(&hw, &sched, &layer).unwrap();
         // The median of five replicates lands near the clean value but
         // (with sigma=0.1) not exactly on it.
@@ -2029,14 +1964,74 @@ mod tests {
         assert_eq!(engine.stats().replicate_measurements, summary.measurements);
         // A fresh engine with the same plan reproduces the measurement
         // bit-for-bit: replicate ordinals restart per engine.
-        let again = make().evaluate_robust(&hw, &sched, &layer).unwrap();
+        let again = make()
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
+            .unwrap();
         assert_eq!(again, (report, summary));
         // And a cache hit replays the identical summary.
         assert_eq!(
-            engine.evaluate_robust(&hw, &sched, &layer).unwrap(),
+            engine
+                .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
+                .unwrap(),
             (report, summary)
         );
         assert_eq!(engine.stats().cache_hits, 1);
+    }
+
+    /// Backend that answers its `n`th call with the `n`th scripted
+    /// `(delay, energy)` pair, cycling.
+    struct ScriptedBackend {
+        script: &'static [(f64, f64)],
+        calls: AtomicU64,
+    }
+
+    impl CostBackend for ScriptedBackend {
+        fn name(&self) -> &'static str {
+            "maestro"
+        }
+
+        fn evaluate(
+            &self,
+            _: &HardwareConfig,
+            _: &Schedule,
+            _: &ConvLayer,
+        ) -> Result<CostReport, EvalError> {
+            let n = self.calls.fetch_add(1, Ordering::Relaxed) as usize;
+            let (delay, energy) = self.script[n % self.script.len()];
+            Ok(CostReport::zeroed_for_tests(delay, energy))
+        }
+    }
+
+    /// Three replicates, one pass, no re-measures, over a script where
+    /// the second replicate is 1% off in energy and the third 100x off
+    /// in delay: both are flagged, only one may be rejected.
+    fn skewed_engine() -> EvalEngine {
+        EvalEngine::builder()
+            .custom_backend(Box::new(ScriptedBackend {
+                script: &[(10.0, 1.0), (10.0, 1.01), (1000.0, 1.0)],
+                calls: AtomicU64::new(0),
+            }))
+            .robust(RobustPolicy {
+                max_remeasures: 0,
+                ..RobustPolicy::replicated(3, Aggregation::Median)
+            })
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn outlier_rejection_drops_the_most_deviant_replicates() {
+        let (hw, sched, layer) = triple();
+        let engine = skewed_engine();
+        let (report, summary) = engine
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
+            .unwrap();
+        // The 100x delay replicate goes; the two 10-cycle ones stay.
+        assert_eq!(report.delay_cycles, 10.0);
+        assert_eq!(report.energy_nj, median(&[1.0, 1.01]));
+        assert_eq!(summary.measurements, 3);
+        assert_eq!(summary.rejected, 1);
+        assert_eq!(engine.stats().outliers_rejected, 1);
     }
 
     #[test]
@@ -2061,7 +2056,10 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_in_insertion_order() {
-        let engine = EvalEngine::builder().cache_cap(2).build().unwrap();
+        let engine = EvalEngine::builder()
+            .cache(CacheChoice::Capped(2))
+            .build()
+            .unwrap();
         let keys: Vec<_> = [24, 26, 28].iter().map(|&s| keyed_triple(s)).collect();
         for (hw, sched, layer) in &keys {
             engine.evaluate(hw, sched, layer).unwrap();
@@ -2084,8 +2082,7 @@ mod tests {
     #[test]
     fn expired_deadline_abandons_retry_backoff() {
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(2))).with_retry_policy(fast_retry());
+        let engine = retrying_engine(FlakyBackend::new(2), fast_retry());
         engine.set_deadline(Some(Instant::now()));
         // The first transient failure would normally retry; with the
         // deadline already passed the engine gives up immediately.
@@ -2108,12 +2105,14 @@ mod tests {
         // the retry sleep must be clamped to the remaining budget
         // instead of sleeping the full backoff past the deadline.
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(1))).with_retry_policy(RetryPolicy {
+        let engine = retrying_engine(
+            FlakyBackend::new(1),
+            RetryPolicy {
                 max_attempts: 3,
                 base: Duration::from_secs(60),
                 cap: Duration::from_secs(60),
-            });
+            },
+        );
         engine.set_deadline(Some(Instant::now() + Duration::from_millis(30)));
         let start = Instant::now();
         assert!(engine.evaluate(&hw, &sched, &layer).is_ok());
@@ -2131,7 +2130,7 @@ mod tests {
             .faults(Some(faults))
             .noise(Some(noise))
             .robust(RobustPolicy::replicated(3, Aggregation::Median))
-            .cache_cap(64)
+            .cache(CacheChoice::Capped(64))
             .build()
             .unwrap();
         // The decorators surface their specs; the name stays the real
@@ -2149,13 +2148,6 @@ mod tests {
             EvalEngine::builder().backend("verilator").build(),
             Err(BuildError::UnknownBackend(_))
         ));
-        // Two cache choices.
-        let err = EvalEngine::builder().cache_cap(2).no_cache().build();
-        assert!(
-            matches!(&err, Err(BuildError::InvalidCombination { message })
-                if message.contains("cache")),
-            "{err:?}"
-        );
         // Backend-mode ladder whose cheap backend is the primary.
         let spec: FidelitySpec = "fidelity=backend:maestro".parse().unwrap();
         let err = EvalEngine::builder().fidelity(Some(spec)).build();
@@ -2183,10 +2175,10 @@ mod tests {
         let spec: FidelitySpec = "fidelity=backend:timeloop".parse().unwrap();
         let engine = EvalEngine::builder().fidelity(Some(spec)).build().unwrap();
         let cheap = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Rung(0))
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Rung(0), &Observer::null(), 0)
             .unwrap();
         let full = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
             .unwrap();
         // The coarse backend reports different numbers with inflated
         // dispersion; both live in the cache under distinct keys.
@@ -2197,13 +2189,13 @@ mod tests {
         // Replays hit their own fidelity's entry bit-for-bit.
         assert_eq!(
             engine
-                .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Rung(0))
+                .evaluate_observed(&hw, &sched, &layer, Fidelity::Rung(0), &Observer::null(), 0)
                 .unwrap(),
             cheap
         );
         assert_eq!(
             engine
-                .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
+                .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
                 .unwrap(),
             full
         );
@@ -2227,14 +2219,14 @@ mod tests {
             .unwrap();
         // Rung 0 of a 0.2-fraction ladder takes a single measurement...
         let (_, cheap) = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Rung(0))
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Rung(0), &Observer::null(), 0)
             .unwrap();
         assert_eq!(engine.stats().replicate_measurements, 0);
         // ...and its dispersion still carries the rung's inflation.
         assert!((cheap.dispersion * cheap.dispersion - inflation).abs() < 1e-9);
         // Full fidelity takes all five.
         let (_, full) = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
             .unwrap();
         assert!(engine.stats().replicate_measurements >= 5);
         assert!(full.measurements >= 5);
@@ -2244,11 +2236,16 @@ mod tests {
     #[test]
     fn full_fidelity_without_a_spec_matches_the_historical_path() {
         let (hw, sched, layer) = triple();
-        let plain = EvalEngine::maestro();
+        let plain = EvalEngine::default();
         let tagged = plain
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
+            .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
             .unwrap();
-        assert_eq!(tagged, plain.evaluate_robust(&hw, &sched, &layer).unwrap());
+        assert_eq!(
+            tagged,
+            plain
+                .evaluate_observed(&hw, &sched, &layer, Fidelity::Full, &Observer::null(), 0)
+                .unwrap()
+        );
         // Without a spec the fidelity counters stay untouched.
         let stats = plain.stats();
         assert_eq!(stats.fidelity_cheap_evals, 0);

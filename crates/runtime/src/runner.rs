@@ -355,13 +355,7 @@ pub fn advance_job(
 ) -> Result<SliceProgress, RuntimeError> {
     let models = spec.resolve_models()?;
     let cfg = spec.to_codesign_config()?;
-    let mut engine = spec.build_engine()?;
-    if let Some(cache) = shared_cache {
-        engine = engine.with_shared_cache(cache);
-    }
-    if let Some(global) = global {
-        engine = engine.with_global_stats(global);
-    }
+    let engine = spec.build_engine_with(shared_cache, global)?;
     let real: Arc<dyn StoreIo> = Arc::new(RealFs);
     let fs = io.unwrap_or(&real);
 

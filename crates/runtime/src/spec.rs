@@ -8,12 +8,14 @@
 //! `--out`, ...) and hand the rest to [`RunSpec::parse_args`].
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use spotlight::codesign::{CodesignConfig, ConfigError};
 use spotlight::Variant;
 use spotlight_eval::{
-    Aggregation, EvalEngine, FaultPlan, FidelitySpec, NoisePlan, RobustPolicy, UnknownBackend,
+    backend_by_name, Aggregation, CacheChoice, EvalEngine, FaultPlan, FidelitySpec,
+    GlobalEvalStats, NoisePlan, RobustPolicy, SharedCache, UnknownBackend,
 };
 use spotlight_maestro::Objective;
 use spotlight_models::{all_models, Model};
@@ -63,7 +65,7 @@ pub struct RunSpec {
     /// Worker threads for the per-layer software search.
     pub threads: usize,
     /// Cost backend to evaluate through; validated against
-    /// [`EvalEngine::by_name`] at parse time so the error always lists
+    /// [`backend_by_name`] at parse time so the error always lists
     /// exactly the backends the engine knows.
     pub backend: String,
     /// Fault-injection spec (validated against [`FaultPlan`] at parse
@@ -192,9 +194,9 @@ impl RunSpec {
                 }
                 "--backend" => {
                     let name = value(i)?;
-                    // Validate through the engine itself so the message
-                    // always lists exactly the backends it resolves.
-                    EvalEngine::by_name(name)?;
+                    // Validate through the engine's own resolver so the
+                    // message always lists exactly the backends it knows.
+                    backend_by_name(name)?;
                     spec.backend = name.to_string();
                     i += 2;
                 }
@@ -339,7 +341,7 @@ impl RunSpec {
                     .to_string(),
             ),
         };
-        EvalEngine::by_name(&manifest.backend)?;
+        backend_by_name(&manifest.backend)?;
         Ok(RunSpec {
             models: manifest
                 .models
@@ -444,14 +446,31 @@ impl RunSpec {
     /// combination (e.g. a backend-mode ladder whose cheap backend is
     /// the primary backend).
     pub fn build_engine(&self) -> Result<EvalEngine, SpecError> {
+        self.build_engine_with(None, None)
+    }
+
+    /// [`RunSpec::build_engine`] with the serve layer's sharing
+    /// attached: `shared` takes the place of the spec's private (and
+    /// possibly capped) cache, and `global` mirrors every counter.
+    pub(crate) fn build_engine_with(
+        &self,
+        shared: Option<&SharedCache>,
+        global: Option<Arc<GlobalEvalStats>>,
+    ) -> Result<EvalEngine, SpecError> {
+        let cache = match (shared, self.cache_cap) {
+            (Some(shared), _) => CacheChoice::Shared(shared.clone()),
+            (None, Some(cap)) => CacheChoice::Capped(cap),
+            (None, None) => CacheChoice::Private,
+        };
         let mut builder = EvalEngine::builder()
             .backend(&self.backend)
             .faults(self.fault_plan())
             .noise(self.noise_plan())
             .robust(self.robust_policy())
-            .fidelity(self.fidelity_spec());
-        if let Some(cap) = self.cache_cap {
-            builder = builder.cache_cap(cap);
+            .fidelity(self.fidelity_spec())
+            .cache(cache);
+        if let Some(global) = global {
+            builder = builder.global_stats(global);
         }
         builder.build().map_err(|e| SpecError(e.to_string()))
     }
@@ -696,7 +715,10 @@ mod tests {
             noise: engine.noise().unwrap_or_default(),
             replicates: spec.replicates as u64,
             robust_agg: spec.robust_agg.to_string(),
-            fidelity: engine.fidelity().unwrap_or_default(),
+            fidelity: engine
+                .fidelity_spec()
+                .map(|f| f.to_string())
+                .unwrap_or_default(),
         };
         let back = RunSpec::from_manifest(&manifest).unwrap();
         assert_eq!(back.models, vec!["Transformer"]);
@@ -718,7 +740,7 @@ mod tests {
         )
         .unwrap();
         let engine = spec.build_engine().unwrap();
-        assert_eq!(engine.fidelity(), spec.fidelity);
+        assert_eq!(engine.fidelity_spec().map(|f| f.to_string()), spec.fidelity);
         let manifest = RunManifest {
             seed: 0,
             variant: spec.variant.to_string(),
@@ -736,7 +758,10 @@ mod tests {
             noise: String::new(),
             replicates: spec.replicates as u64,
             robust_agg: spec.robust_agg.to_string(),
-            fidelity: engine.fidelity().unwrap_or_default(),
+            fidelity: engine
+                .fidelity_spec()
+                .map(|f| f.to_string())
+                .unwrap_or_default(),
         };
         let back = RunSpec::from_manifest(&manifest).unwrap();
         assert_eq!(back.fidelity, spec.fidelity);

@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 
 use spotlight_accel::{Baseline, DataflowStyle, HardwareConfig};
 use spotlight_dabo::{Search, Trace};
-use spotlight_eval::EvalEngine;
+use spotlight_eval::{EvalEngine, Fidelity};
 use spotlight_models::Model;
 use spotlight_obs::{Event, Observer};
 use spotlight_searchers::{ConfuciuXSearch, HascoSearch};
@@ -70,7 +70,7 @@ pub fn evaluate_fixed_hw(
     style: DataflowStyle,
     model: &Model,
 ) -> (ModelPlan, u64) {
-    evaluate_fixed_hw_with(&EvalEngine::maestro(), config, hw, style, model)
+    evaluate_fixed_hw_with(&EvalEngine::default(), config, hw, style, model)
 }
 
 /// Like [`evaluate_fixed_hw`] but through a caller-owned engine, so
@@ -150,8 +150,8 @@ fn model_cost_under_style(
     for (ordinal, entry) in model.layers().iter().enumerate() {
         let sched = template_schedule(style, &entry.layer);
         let lobs = obs.with_layer(ordinal as u64);
-        match engine.evaluate_observed(hw, &sched, &entry.layer, &lobs, 0) {
-            Ok(r) => {
+        match engine.evaluate_observed(hw, &sched, &entry.layer, Fidelity::Full, &lobs, 0) {
+            Ok((r, _)) => {
                 total_delay += r.delay_cycles * entry.count as f64;
                 total_energy += r.energy_nj * entry.count as f64;
             }
@@ -179,7 +179,7 @@ pub fn run_confuciux_observed(
     model: &Model,
     obs: &Observer,
 ) -> ToolOutcome {
-    let engine = EvalEngine::maestro();
+    let engine = EvalEngine::default();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xc0f0_c10a);
     let rl_budget = (config.hw_samples * 2) / 3;
     let mut search = ConfuciuXSearch::new(config.ranges, rl_budget);
@@ -223,7 +223,7 @@ pub fn run_hasco(config: &CodesignConfig, model: &Model) -> ToolOutcome {
 /// Like [`run_hasco`] but reporting hardware proposals, per-layer
 /// evaluations, and best-so-far improvements to `obs`.
 pub fn run_hasco_observed(config: &CodesignConfig, model: &Model, obs: &Observer) -> ToolOutcome {
-    let engine = EvalEngine::maestro();
+    let engine = EvalEngine::default();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x4a5c_0000);
     let mut search = HascoSearch::new(config.ranges);
     let style = search.style();

@@ -316,7 +316,7 @@ pub fn style_constrained_sample(
 ///
 /// let cfg = SwSearchConfig { samples: 20, objective: Objective::Edp, variant: Variant::Spotlight };
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let engine = EvalEngine::maestro();
+/// let engine = EvalEngine::default();
 /// let r = optimize_schedule(
 ///     &engine,
 ///     &Baseline::NvdlaLike.edge_config(),
@@ -483,8 +483,7 @@ fn run_sw_observed(
     for step in 0..cfg.samples {
         let sched = search.suggest(rng);
         let (cost, dispersion) =
-            match engine.evaluate_at_observed_robust(hw, &sched, layer, fidelity, obs, step as u64)
-            {
+            match engine.evaluate_observed(hw, &sched, layer, fidelity, obs, step as u64) {
                 Ok((report, summary)) => {
                     let value = report.objective(cfg.objective);
                     if best
@@ -543,7 +542,7 @@ mod tests {
 
     #[test]
     fn every_variant_finds_a_feasible_schedule() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         for v in Variant::ALL {
             let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -555,7 +554,7 @@ mod tests {
 
     #[test]
     fn spotlight_beats_random_on_median_seed() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         let mut wins = 0;
         let trials = 7;
@@ -780,7 +779,7 @@ mod tests {
     fn infeasible_layers_return_infinite_objective() {
         // A 2-byte-RF-per-PE accelerator cannot hold even a unit tile
         // (one weight + one input + one output element = 3 bytes).
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = HardwareConfig::new(512, 16, 16, 1, 64, 64).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let r = optimize_schedule(&model, &hw, &layer(), &cfg(Variant::SpotlightR), &mut rng);
@@ -790,7 +789,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         let run = || {
             let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -802,7 +801,7 @@ mod tests {
 
     #[test]
     fn delay_objective_optimizes_delay() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let c = SwSearchConfig {

@@ -8,7 +8,7 @@
 //! it must never change an outcome, only skip repeated backend calls.
 
 use spotlight_repro::conv::ConvLayer;
-use spotlight_repro::eval::EvalEngine;
+use spotlight_repro::eval::{CacheChoice, EvalEngine};
 use spotlight_repro::maestro::Objective;
 use spotlight_repro::models::Model;
 use spotlight_repro::spotlight::codesign::{CodesignConfig, Spotlight};
@@ -80,8 +80,11 @@ fn memoized_cache_preserves_outcomes_and_hits() {
     ];
     let cfg = config(1);
     let cached = Spotlight::new(cfg).codesign(&models);
-    let uncached =
-        Spotlight::with_engine(cfg, EvalEngine::maestro().without_cache()).codesign(&models);
+    let engine = EvalEngine::builder()
+        .cache(CacheChoice::Disabled)
+        .build()
+        .expect("default backend");
+    let uncached = Spotlight::with_engine(cfg, engine).codesign(&models);
 
     assert_eq!(cached.best_hw, uncached.best_hw);
     assert_eq!(cached.best_cost.to_bits(), uncached.best_cost.to_bits());

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use spotlight_repro::accel::{DataflowStyle, HardwareConfig};
 use spotlight_repro::conv::ConvLayer;
 use spotlight_repro::eval::{Aggregation, EvalEngine, Fidelity, FidelitySpec, RobustPolicy};
+use spotlight_repro::maestro::CostReport;
 use spotlight_repro::models::Model;
 use spotlight_repro::obs::{Event, MemorySink, Observer, Record};
 use spotlight_repro::space::dataflows::dataflow_schedule;
@@ -16,6 +17,16 @@ use spotlight_repro::space::Schedule;
 use spotlight_repro::spotlight::codesign::{
     CodesignConfig, CodesignOutcome, SampleCheckpoint, Spotlight,
 };
+
+/// `triple()`'s report at `fidelity`, through the observed entry point
+/// with no observer.
+fn report_at(engine: &EvalEngine, fidelity: Fidelity) -> CostReport {
+    let (hw, sched, layer) = triple();
+    engine
+        .evaluate_observed(&hw, &sched, &layer, fidelity, &Observer::null(), 0)
+        .expect("feasible")
+        .0
+}
 
 fn triple() -> (HardwareConfig, Schedule, ConvLayer) {
     let hw = HardwareConfig::new(256, 16, 2, 128, 256, 128).expect("valid config");
@@ -111,11 +122,8 @@ fn ladder_runs_emit_promotion_events() {
     // demoted samples never pay for the layers a cheap rung skipped.
     assert!(out.stats.fidelity_full_evals > 0);
     assert_eq!(out.stats.fidelity_cheap_evals, 0);
-    let baseline = Spotlight::with_engine(
-        config(1, 3),
-        EvalEngine::by_name("maestro").expect("backend"),
-    )
-    .codesign(&[tiny_model()]);
+    let baseline =
+        Spotlight::with_engine(config(1, 3), EvalEngine::default()).codesign(&[tiny_model()]);
     assert!(
         out.evaluations < baseline.evaluations,
         "ladder ({}) must evaluate less than the no-ladder run ({})",
@@ -132,7 +140,7 @@ fn ladder_runs_emit_promotion_events() {
 fn cache_never_aliases_cheap_and_full_reports() {
     let (hw, sched, layer) = triple();
 
-    let plain = EvalEngine::by_name("maestro").expect("backend");
+    let plain = EvalEngine::default();
     let reference = plain.evaluate(&hw, &sched, &layer).expect("feasible");
 
     // Replicate-mode ladder: cheap rungs take fewer replicates, so a
@@ -146,12 +154,8 @@ fn cache_never_aliases_cheap_and_full_reports() {
         ))
         .build()
         .expect("valid combination");
-    let cheap = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Rung(0))
-        .expect("feasible");
-    let full = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Full)
-        .expect("feasible");
+    let cheap = report_at(&engine, Fidelity::Rung(0));
+    let full = report_at(&engine, Fidelity::Full);
     assert_eq!(
         engine.stats().cache_misses,
         2,
@@ -165,12 +169,8 @@ fn cache_never_aliases_cheap_and_full_reports() {
 
     // Re-asking at each fidelity hits its own entry and returns the
     // same bits.
-    let cheap2 = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Rung(0))
-        .expect("feasible");
-    let full2 = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Full)
-        .expect("feasible");
+    let cheap2 = report_at(&engine, Fidelity::Rung(0));
+    let full2 = report_at(&engine, Fidelity::Full);
     assert_eq!(engine.stats().cache_hits, 2);
     assert_eq!(cheap.delay_cycles.to_bits(), cheap2.delay_cycles.to_bits());
     assert_eq!(full.delay_cycles.to_bits(), full2.delay_cycles.to_bits());
@@ -251,7 +251,6 @@ proptest! {
     #[test]
     fn distinct_rungs_never_share_cache_entries(rung_a in 0u8..3, rung_b in 0u8..3) {
         prop_assume!(rung_a != rung_b);
-        let (hw, sched, layer) = triple();
         let engine = EvalEngine::builder()
             .backend("maestro")
             .noise(Some("seed=11,model=gauss,sigma=0.2".parse().expect("spec")))
@@ -259,8 +258,8 @@ proptest! {
             .fidelity(Some("fidelity=replicate:0.2,rungs=4".parse().expect("spec")))
             .build()
             .expect("valid combination");
-        engine.evaluate_at(&hw, &sched, &layer, Fidelity::Rung(rung_a)).expect("feasible");
-        engine.evaluate_at(&hw, &sched, &layer, Fidelity::Rung(rung_b)).expect("feasible");
+        report_at(&engine, Fidelity::Rung(rung_a));
+        report_at(&engine, Fidelity::Rung(rung_b));
         prop_assert_eq!(engine.stats().cache_misses, 2);
         prop_assert_eq!(engine.stats().cache_hits, 0);
     }
